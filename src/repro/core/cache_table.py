@@ -17,13 +17,12 @@ This module implements the cache table and its brute-force query path; the
 rebuild policy lives in :class:`repro.core.gts.GTS` (blocking) and
 :mod:`repro.core.maintenance` (generation-swap).
 
-The scan path comes in two shapes.  The per-query :meth:`CacheTable.range_scan`
-/ :meth:`CacheTable.knn_scan` launch one ``cache-scan`` kernel each; the
-batched :meth:`CacheTable.range_scan_batch` / :meth:`CacheTable.knn_scan_batch`
-evaluate a whole query batch against the cache with **one** fused kernel via
-``Metric.pairwise_segmented`` over a columnar snapshot of the cached payload
-(rebuilt lazily after mutations), returning per-query answers identical to
-the per-query scans.
+The scans answer a whole query batch with **one** fused ``cache-scan`` kernel
+(``Metric.pairwise_segmented`` over a columnar snapshot of the cached
+payload, rebuilt lazily after mutations) and return flat ``(query, id,
+distance)`` triples.  The batch query engine adds them to the same result
+accumulator as the tree's hits, so the cache and the tree share one
+finalisation (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -37,9 +36,13 @@ from ..exceptions import UpdateError
 from ..gpusim.device import Allocation, Device
 from ..metrics.base import Metric
 from .construction import objects_nbytes
-from .searchcommon import topk_by_distance
 
 __all__ = ["CacheTable"]
+
+
+def _no_triples() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    empty = np.zeros(0, dtype=np.int64)
+    return empty, empty, np.zeros(0, dtype=np.float64)
 
 
 class CacheTable:
@@ -154,57 +157,6 @@ class CacheTable:
             self._allocation = None
 
     # --------------------------------------------------------------- queries
-    def range_scan(
-        self,
-        metric: Metric,
-        query,
-        radius: float,
-        device: Optional[Device] = None,
-    ) -> list[tuple[int, float]]:
-        """Brute-force range scan of the cache table (parallel on the device)."""
-        if not self._objects:
-            return []
-        ids = list(self._objects)
-        start = time.perf_counter()
-        dists = metric.pairwise(query, [self._objects[i] for i in ids])
-        host = time.perf_counter() - start
-        dev = device or self._device
-        if dev is not None:
-            dev.launch_kernel(
-                work_items=len(ids), op_cost=metric.unit_cost, label="cache-scan", host_time=host
-            )
-        return [
-            (int(oid), float(d)) for oid, d in zip(ids, dists) if d <= radius
-        ]
-
-    def knn_scan(
-        self,
-        metric: Metric,
-        query,
-        k: int,
-        device: Optional[Device] = None,
-    ) -> list[tuple[int, float]]:
-        """Brute-force kNN scan of the cache table (parallel on the device).
-
-        The top-k extraction partitions on the k-th distance instead of
-        fully sorting the cache (``np.argpartition`` + a sort of the
-        survivors only), with ties broken by object id exactly as before.
-        """
-        if not self._objects or k <= 0:
-            return []
-        ids = np.fromiter(self._objects, count=len(self._objects), dtype=np.int64)
-        start = time.perf_counter()
-        dists = metric.pairwise(query, list(self._objects.values()))
-        host = time.perf_counter() - start
-        dev = device or self._device
-        if dev is not None:
-            dev.launch_kernel(
-                work_items=len(ids), op_cost=metric.unit_cost, label="cache-scan", host_time=host
-            )
-        top = topk_by_distance(ids, dists, int(k))
-        return [(int(ids[i]), float(dists[i])) for i in top]
-
-    # --------------------------------------------------------- batched queries
     def _tiled_payload(self, num_queries: int) -> tuple:
         """The cached payload tiled to ``num_queries`` segments.
 
@@ -233,10 +185,10 @@ class CacheTable:
             flat = values * num_queries
         return ids, flat, boundaries
 
-    def _scan_batch_distances(
+    def _scan_distances(
         self, metric: Metric, queries: Sequence, device: Optional[Device]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances of every (query, cached object) pair via one fused kernel."""
+        """Cached ids and the ``(queries, cache)`` distance matrix, one fused kernel."""
         ids, flat, boundaries = self._tiled_payload(len(queries))
         start = time.perf_counter()
         dists = metric.pairwise_segmented(queries, flat, boundaries)
@@ -249,7 +201,8 @@ class CacheTable:
                 label="cache-scan",
                 host_time=host,
             )
-        return ids, dists
+        # every segment is the whole cache, so the flat distances are a matrix
+        return ids, dists.reshape(len(queries), len(ids))
 
     def range_scan_batch(
         self,
@@ -257,25 +210,18 @@ class CacheTable:
         queries: Sequence,
         radii,
         device: Optional[Device] = None,
-    ) -> list[list[tuple[int, float]]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Range-scan the cache for a whole query batch with one kernel.
 
-        Per-query answers are identical to calling :meth:`range_scan` once
-        per query (same distances, same insertion-order enumeration); only
-        the kernel granularity changes — one ``cache-scan`` launch covering
-        ``len(queries) * len(cache)`` pairs instead of one per query.
+        Returns ``(query_index, object_id, distance)`` triples of every
+        cached object within its query's radius (``radii`` holds one value
+        per query).  An empty cache or batch launches no kernel.
         """
         if not self._objects or len(queries) == 0:
-            return [[] for _ in range(len(queries))]
-        radii = np.asarray(radii, dtype=np.float64)
-        ids, dists = self._scan_batch_distances(metric, queries, device)
-        count = len(ids)
-        out = []
-        for qi in range(len(queries)):
-            segment = dists[qi * count : (qi + 1) * count]
-            hits = np.flatnonzero(segment <= radii[qi])
-            out.append([(int(ids[i]), float(segment[i])) for i in hits])
-        return out
+            return _no_triples()
+        ids, dists = self._scan_distances(metric, queries, device)
+        qs, cols = np.nonzero(dists <= np.asarray(radii, dtype=np.float64)[:, None])
+        return qs, ids[cols], dists[qs, cols]
 
     def knn_scan_batch(
         self,
@@ -283,24 +229,23 @@ class CacheTable:
         queries: Sequence,
         ks,
         device: Optional[Device] = None,
-    ) -> list[list[tuple[int, float]]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """kNN-scan the cache for a whole query batch with one kernel.
 
-        Per-query answers are identical to calling :meth:`knn_scan` once per
-        query; the top-k of each segment is extracted with the same
-        partition-then-sort-survivors strategy.
+        Returns ``(query_index, object_id, distance)`` triples holding, per
+        query, every cached object at or below its ``k``-th smallest cached
+        distance (``ks`` holds one positive ``k`` per query): the ``k``
+        nearest plus any ties at the cut, which the caller's
+        ``(distance, id)`` ordering resolves.
         """
         if not self._objects or len(queries) == 0:
-            return [[] for _ in range(len(queries))]
-        ks = np.asarray(ks, dtype=np.int64)
-        ids, dists = self._scan_batch_distances(metric, queries, device)
-        count = len(ids)
-        out = []
-        for qi in range(len(queries)):
-            segment = dists[qi * count : (qi + 1) * count]
-            top = topk_by_distance(ids, segment, int(ks[qi]))
-            out.append([(int(ids[i]), float(segment[i])) for i in top])
-        return out
+            return _no_triples()
+        ids, dists = self._scan_distances(metric, queries, device)
+        ks = np.minimum(np.asarray(ks, dtype=np.int64), len(ids))
+        # one partition places every distinct k-th position of every row
+        kth = np.partition(dists, np.unique(ks) - 1, axis=1)[np.arange(len(ks)), ks - 1]
+        qs, cols = np.nonzero(dists <= kth[:, None])
+        return qs, ids[cols], dists[qs, cols]
 
     def items(self) -> list[tuple[int, object]]:
         """Return ``(object_id, object)`` pairs currently buffered."""

@@ -50,7 +50,7 @@ from .knn_query import batch_knn_query
 from .nodes import TreeStructure
 from .objectstore import make_object_store
 from .range_query import batch_range_query
-from .searchcommon import PruneMode, broadcast_query_param
+from .searchcommon import PruneMode
 
 __all__ = ["GTS", "execute_operation_batch"]
 
@@ -78,17 +78,11 @@ def execute_operation_batch(index, ops: Sequence[tuple]) -> list:
         end = start
         while end < len(ops) and ops[end][0] == kind and kind in ("range", "knn"):
             end += 1
-        if kind == "range":
-            queries = [op[1] for op in ops[start:end]]
-            radii = np.asarray([float(op[2]) for op in ops[start:end]], dtype=np.float64)
-            for offset, answer in enumerate(index.range_query_batch(queries, radii)):
-                results[start + offset] = answer
-            start = end
-        elif kind == "knn":
-            queries = [op[1] for op in ops[start:end]]
-            ks = np.asarray([int(op[2]) for op in ops[start:end]], dtype=np.int64)
-            for offset, answer in enumerate(index.knn_query_batch(queries, ks)):
-                results[start + offset] = answer
+        if kind in ("range", "knn"):
+            run = index.range_query_batch if kind == "range" else index.knn_query_batch
+            # raw radii / k: the batch call validates them (no truncation)
+            batch = ops[start:end]
+            results[start:end] = run([op[1] for op in batch], [op[2] for op in batch])
             start = end
         elif kind == "insert":
             results[start] = index.insert(ops[start][1])
@@ -459,30 +453,17 @@ class GTS:
         cache-table's (Section 4.4) and never contain deleted objects.
         """
         self._require_built()
-        # Validate up front so malformed radii fail identically on every
-        # path (including the cache-empty fast return below).
-        radii_arr = broadcast_query_param(radii, len(queries), "radii", np.float64)
-        tree_results = batch_range_query(
+        return batch_range_query(
             self._tree,
             self._objects,
             self.metric,
             self.device,
             queries,
-            radii_arr,
+            radii,
             exclude=self._tombstones or None,
+            cache=self._cache,
             prune_mode=self.prune_mode,
         )
-        if len(self._cache) == 0:
-            return tree_results
-        # One fused cache-scan kernel covers the whole batch (DESIGN.md §9);
-        # answers are identical to scanning the cache once per query.
-        extras = self._cache.range_scan_batch(self.metric, queries, radii_arr, self.device)
-        merged = []
-        for qi in range(len(queries)):
-            combined = {oid: dist for oid, dist in tree_results[qi]}
-            combined.update({oid: dist for oid, dist in extras[qi]})
-            merged.append(sorted(combined.items(), key=lambda item: (item[1], item[0])))
-        return merged
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Answer a single metric k-nearest-neighbour query ``MkNNQ(query, k)``.
@@ -517,33 +498,17 @@ class GTS:
         tied objects completes the answer.
         """
         self._require_built()
-        k_arr = broadcast_query_param(k, len(queries), "k", np.int64)
-        if np.any(k_arr <= 0):
-            raise QueryError("k must be positive")
-        tree_results = batch_knn_query(
+        return batch_knn_query(
             self._tree,
             self._objects,
             self.metric,
             self.device,
             queries,
-            k_arr,
+            k,
             exclude=self._tombstones or None,
+            cache=self._cache,
             prune_mode=self.prune_mode,
         )
-        if len(self._cache) == 0:
-            return tree_results
-        # One fused cache-scan kernel covers the whole batch (DESIGN.md §9);
-        # answers are identical to scanning the cache once per query.
-        extras = self._cache.knn_scan_batch(self.metric, queries, k_arr, self.device)
-        merged = []
-        for qi in range(len(queries)):
-            combined = {oid: dist for oid, dist in tree_results[qi]}
-            for oid, dist in extras[qi]:
-                if oid not in combined or dist < combined[oid]:
-                    combined[oid] = dist
-            ranked = sorted(combined.items(), key=lambda item: (item[1], item[0]))
-            merged.append([(int(o), float(d)) for o, d in ranked[: int(k_arr[qi])]])
-        return merged
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
         """Execute a heterogeneous batch of operations in submission order.

@@ -33,6 +33,7 @@ import numpy as np
 from ..exceptions import QueryError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
+from .cache_table import CacheTable
 from .construction import take_objects
 from .nodes import TreeStructure
 from .searchcommon import (
@@ -279,6 +280,7 @@ def batch_knn_query(
     queries: Sequence,
     k,
     exclude: Optional[set] = None,
+    cache: Optional[CacheTable] = None,
     prune_mode: str | PruneMode = "two-sided",
 ) -> list[list[tuple[int, float]]]:
     """Answer a batch of metric k-nearest-neighbour queries exactly.
@@ -291,6 +293,9 @@ def batch_knn_query(
         A single ``k`` shared by all queries or one per query.
     exclude:
         Object ids to ignore (tombstoned deletions).
+    cache:
+        The cache table of streaming inserts (Section 4.4): the rest of the
+        visible set, scanned with one kernel after the tree descent.
     prune_mode:
         ``"two-sided"`` (default) or ``"one-sided"`` (ablation).
 
@@ -305,13 +310,33 @@ def batch_knn_query(
         raise QueryError("k must be positive for a kNN query")
     mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
 
-    if num_queries == 0 or tree.num_objects == 0:
-        return [[] for _ in range(num_queries)]
-
-    device.transfer_to_device(num_queries * ENTRY_BYTES)
-
+    if num_queries == 0:
+        return []
     tombstones = tombstone_array(exclude)
     pools = _CandidatePools(num_queries, k_arr, tombstones)
+    if tree.num_objects:
+        _search_tree(tree, objects, metric, device, queries, tombstones, mode, pools)
+    if cache is not None and len(cache):
+        # after the descent, so the cache never tightens a pruning bound;
+        # tombstones never name a cached id
+        pools.add(*cache.knn_scan_batch(metric, queries, k_arr, device))
+    return pools.topk_all()
+
+
+def _search_tree(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    tombstones: Optional[np.ndarray],
+    mode: PruneMode,
+    pools: _CandidatePools,
+) -> None:
+    """Descend the whole tree for the batch, adding candidates to ``pools``."""
+    num_queries = len(queries)
+    device.transfer_to_device(num_queries * ENTRY_BYTES)
+
     cand_q = np.arange(num_queries, dtype=np.int64)
     cand_node = np.zeros(num_queries, dtype=np.int64)
 
@@ -338,5 +363,3 @@ def batch_knn_query(
         mode,
         pools,
     )
-
-    return pools.topk_all()

@@ -29,6 +29,7 @@ import numpy as np
 from ..exceptions import QueryError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
+from .cache_table import CacheTable
 from .construction import take_objects
 from .nodes import NO_PIVOT, TreeStructure
 from .searchcommon import (
@@ -206,6 +207,7 @@ def batch_range_query(
     queries: Sequence,
     radii,
     exclude: Optional[set] = None,
+    cache: Optional[CacheTable] = None,
     prune_mode: str | PruneMode = "two-sided",
 ) -> list[list[tuple[int, float]]]:
     """Answer a batch of metric range queries exactly.
@@ -218,6 +220,9 @@ def batch_range_query(
         A scalar radius shared by all queries or one radius per query.
     exclude:
         Object ids to ignore (tombstoned deletions).
+    cache:
+        The cache table of streaming inserts (Section 4.4): the rest of the
+        visible set, scanned with one kernel after the tree descent.
     prune_mode:
         ``"two-sided"`` (default) or ``"one-sided"`` (paper-literal ablation).
 
@@ -232,11 +237,31 @@ def batch_range_query(
         raise QueryError("range query radius must be non-negative")
     mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
 
-    if num_queries == 0 or tree.num_objects == 0:
-        return [[] for _ in range(num_queries)]
+    if num_queries == 0:
+        return []
     tombstones = tombstone_array(exclude)
     results = ResultTriples(num_queries, tombstones)
+    if tree.num_objects:
+        _search_tree(tree, objects, metric, device, queries, radii_arr, tombstones, mode, results)
+    if cache is not None and len(cache):
+        # tombstones never name a cached id: deleting a cached object drops it
+        results.add(*cache.range_scan_batch(metric, queries, radii_arr, device))
+    return results.finalize()
 
+
+def _search_tree(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    radii: np.ndarray,
+    tombstones: Optional[np.ndarray],
+    mode: PruneMode,
+    results: ResultTriples,
+) -> None:
+    """Descend the whole tree for the batch, adding every hit to ``results``."""
+    num_queries = len(queries)
     # Load the queries onto the device (Section 5.1: queries are copied from
     # the CPU to the GPU before processing).
     device.transfer_to_device(num_queries * ENTRY_BYTES)
@@ -252,7 +277,7 @@ def batch_range_query(
         pivot_dist = pivot_distances_per_query(
             device, metric, objects, queries, cand_q, root_pivots
         )
-        within = pivot_dist <= radii_arr
+        within = pivot_dist <= radii
         results.add(cand_q[within], root_pivots[within], pivot_dist[within])
 
     _descend(
@@ -261,7 +286,7 @@ def batch_range_query(
         metric,
         device,
         queries,
-        radii_arr,
+        radii,
         0,
         cand_q,
         cand_node,
@@ -270,5 +295,3 @@ def batch_range_query(
         mode,
         results,
     )
-
-    return results.finalize()

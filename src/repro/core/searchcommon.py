@@ -12,10 +12,12 @@ Both query algorithms (Sections 5.1 and 5.2) share four ingredients:
   batch is divided into groups processed sequentially;
 * tracking intermediate-result allocations on the simulated device so that
   memory pressure has observable consequences;
-* **triple-array result accumulation** (:class:`ResultTriples`): qualifying
-  ``(query, object, distance)`` hits are appended as flat arrays and turned
-  into the per-query sorted answer lists by one final ``np.lexsort``, instead
-  of per-hit Python dict inserts.
+* **triple-array result accumulation** (:class:`ResultTriples`): every
+  qualifying ``(query, object, distance)`` hit — tree pivots, verified leaf
+  objects and the cache table's scan alike — is appended as flat arrays and
+  turned into the per-query sorted answer lists by one final
+  ``np.lexsort`` (:func:`triples_to_answer_lists`, which the sharded index's
+  merge uses too), instead of per-hit Python dict inserts.
 
 The helpers here are pure functions over NumPy arrays, which keeps the two
 query modules small and the behaviour property-testable.  Only the *host*
@@ -49,7 +51,6 @@ __all__ = [
     "filter_live_triples",
     "dedupe_min_triples",
     "triples_to_answer_lists",
-    "topk_by_distance",
     "level_pair_limit",
     "split_into_groups",
     "pivot_distances_per_query",
@@ -71,13 +72,14 @@ def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndar
     """Broadcast a per-query parameter (radii, ``k``) to the batch shape.
 
     Accepts a scalar shared by every query, a length-1 sequence, or one value
-    per query.  Anything else — wrong length, extra dimensions, non-numeric
-    entries — raises :class:`~repro.exceptions.QueryError` naming the
-    parameter and both shapes, instead of the raw NumPy ``ValueError`` the
-    bare ``np.broadcast_to`` produces.
+    per query.  Anything else raises :class:`~repro.exceptions.QueryError`
+    naming the parameter: a wrong length or extra dimensions (with both
+    shapes), non-numeric entries, NaN, and — for an integer ``dtype`` — a
+    value that is not a finite whole number, which a plain cast would
+    silently truncate.  ``+inf`` stays a legal radius.
     """
     try:
-        arr = np.asarray(values, dtype=dtype)
+        arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise QueryError(
             f"{name} must be numeric (a scalar or one value per query), got {values!r}"
@@ -87,7 +89,13 @@ def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndar
             f"{name} must be a scalar or match the query batch: "
             f"expected shape ({num_queries},), got shape {arr.shape}"
         )
-    return np.broadcast_to(arr, (num_queries,)).copy()
+    if np.isnan(arr).any():
+        raise QueryError(f"{name} must not be NaN")
+    if np.issubdtype(dtype, np.integer) and not (
+        np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
+    ):
+        raise QueryError(f"{name} must be a finite whole number, got {values!r}")
+    return np.broadcast_to(arr.astype(dtype), (num_queries,)).copy()
 
 
 def tombstone_array(exclude: Optional[set]) -> Optional[np.ndarray]:
@@ -160,27 +168,6 @@ def triples_to_answer_lists(
             end = min(end, start + int(k[qi]))
         out.append(list(zip(id_list[start:end], dist_list[start:end])))
     return out
-
-
-def topk_by_distance(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest ``(distance, id)`` pairs, in that order.
-
-    ``np.argpartition`` isolates the candidates at or below the k-th
-    distance (plus any ties straddling the cut), then only that candidate
-    set is sorted — exactly the top-k a full ``sorted()`` of all pairs would
-    yield, without the full sort.  The cache-table kNN scans use this.
-    """
-    n = len(ids)
-    k = int(k)
-    if k <= 0 or n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if k < n:
-        kth = np.partition(dists, k - 1)[k - 1]
-        candidates = np.flatnonzero(dists <= kth)
-    else:
-        candidates = np.arange(n, dtype=np.int64)
-    order = np.lexsort((ids[candidates], dists[candidates]))
-    return candidates[order][:k]
 
 
 def dedupe_min_triples(

@@ -361,17 +361,7 @@ class Device:
         elapsed = stats.sim_time if sim_time is None else float(sim_time)
         if elapsed < 0:
             raise KernelError(f"absorbed sim_time must be non-negative, got {elapsed}")
-        self.stats.kernel_launches += stats.kernel_launches
-        self.stats.parallel_steps += stats.parallel_steps
-        self.stats.total_ops += stats.total_ops
-        self.stats.sorted_elements += stats.sorted_elements
-        self.stats.bytes_to_device += stats.bytes_to_device
-        self.stats.bytes_to_host += stats.bytes_to_host
-        self.stats.host_time += stats.host_time
-        for key, value in stats.transfer_seconds.items():
-            self.stats.transfer_seconds[key] = self.stats.transfer_seconds.get(key, 0.0) + value
-        self.stats.maintenance_seconds += stats.maintenance_seconds
-        self.stats.sim_time += elapsed
+        self.stats.absorb(stats, elapsed)
         return elapsed
 
     # ------------------------------------------------------------- lifecycle

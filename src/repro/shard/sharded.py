@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.construction import objects_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
-from ..core.searchcommon import RESULT_BYTES, broadcast_query_param
+from ..core.searchcommon import RESULT_BYTES, broadcast_query_param, triples_to_answer_lists
 from ..exceptions import IndexError_, QueryError, UpdateError
 from ..gpusim.cpu import CPUExecutor
 from ..gpusim.device import Device
@@ -288,6 +288,19 @@ class ShardedGTS:
         """Per-item comparison cost of a ``K``-way merge (heap of ``K`` heads)."""
         return max(1.0, math.log2(max(2, self.num_shards)))
 
+    def _global_triples(
+        self, per_shard: list, num_queries: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flatten per-shard answer lists to global-id ``(query, id, distance)`` triples."""
+        qs, ids, dists = [], [], []
+        for sid, answers in enumerate(per_shard):
+            to_global = self._shard_to_global[sid]
+            pairs = [pair for answer in answers for pair in answer]
+            qs.append(np.repeat(np.arange(num_queries), [len(answer) for answer in answers]))
+            ids.append(np.array([to_global[oid] for oid, _ in pairs], dtype=np.int64))
+            dists.append(np.array([dist for _, dist in pairs], dtype=np.float64))
+        return np.concatenate(qs), np.concatenate(ids), np.concatenate(dists)
+
     # -------------------------------------------------------------- queries
     def range_query(self, query, radius: float) -> list[tuple[int, float]]:
         """Answer one metric range query (scatter-gather over the shards)."""
@@ -311,21 +324,12 @@ class ShardedGTS:
             )
             return answers
 
-        per_shard = self._shard_round(run)
-        merged: list[list[tuple[int, float]]] = []
-        total = 0
-        for qi in range(len(queries)):
-            combined: list[tuple[int, float]] = []
-            for sid, answers in enumerate(per_shard):
-                to_global = self._shard_to_global[sid]
-                combined.extend((to_global[oid], dist) for oid, dist in answers[qi])
-            total += len(combined)
-            merged.append(sorted(combined, key=lambda pair: (pair[1], pair[0])))
+        qs, ids, dists = self._global_triples(self._shard_round(run), len(queries))
         # The union keeps every gathered hit (partitions are disjoint, so the
         # union size equals the single-device answer size): a K-way merge of
         # the per-shard sorted lists costs log2(K) comparisons per hit.
-        self._charge_host(total * self._log_shards(), "shard-merge-range")
-        return merged
+        self._charge_host(len(ids) * self._log_shards(), "shard-merge-range")
+        return triples_to_answer_lists(qs, ids, dists, len(queries))
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Answer one metric kNN query (scatter-gather over the shards)."""
@@ -351,15 +355,7 @@ class ShardedGTS:
             )
             return answers
 
-        per_shard = self._shard_round(run)
-        merged: list[list[tuple[int, float]]] = []
-        for qi in range(len(queries)):
-            combined: list[tuple[int, float]] = []
-            for sid, answers in enumerate(per_shard):
-                to_global = self._shard_to_global[sid]
-                combined.extend((to_global[oid], dist) for oid, dist in answers[qi])
-            combined.sort(key=lambda pair: (pair[1], pair[0]))
-            merged.append(combined[: int(k_arr[qi])])
+        qs, ids, dists = self._global_triples(self._shard_round(run), len(queries))
         # Selecting the global top-k from K sorted per-shard lists needs only
         # k pops from a K-element heap per query — the merge never has to
         # consume all K*k gathered candidates.
@@ -368,7 +364,7 @@ class ShardedGTS:
             + float(np.sum(k_arr)) * self._log_shards(),
             "shard-merge-knn",
         )
-        return merged
+        return triples_to_answer_lists(qs, ids, dists, len(queries), k=k_arr)
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
         """Execute a heterogeneous operation batch in submission order.

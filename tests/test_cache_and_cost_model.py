@@ -77,9 +77,10 @@ class TestCacheTable:
         pts = rng.normal(size=(20, 2))
         for i, p in enumerate(pts):
             cache.insert(100 + i, p)
-        hits = cache.range_scan(metric, pts[0], 0.5)
+        qs, ids, _ = cache.range_scan_batch(metric, [pts[0]], [0.5])
         expected = {100 + i for i, p in enumerate(pts) if np.linalg.norm(p - pts[0]) <= 0.5}
-        assert {o for o, _ in hits} == expected
+        assert qs.tolist() == [0] * len(expected)
+        assert sorted(ids.tolist()) == sorted(expected)
 
     def test_knn_scan_returns_k_smallest(self, rng):
         metric = EuclideanDistance()
@@ -87,14 +88,17 @@ class TestCacheTable:
         pts = rng.normal(size=(20, 2))
         for i, p in enumerate(pts):
             cache.insert(i, p)
-        got = cache.knn_scan(metric, pts[0], 3)
+        _, _, got = cache.knn_scan_batch(metric, [pts[0]], [3])
         dists = sorted(np.linalg.norm(pts - pts[0], axis=1))[:3]
-        np.testing.assert_allclose(sorted(d for _, d in got), dists, atol=1e-9)
+        np.testing.assert_allclose(sorted(got), dists, atol=1e-9)
 
     def test_scans_on_empty_cache(self):
         cache = CacheTable(100)
-        assert cache.range_scan(EuclideanDistance(), np.zeros(2), 1.0) == []
-        assert cache.knn_scan(EuclideanDistance(), np.zeros(2), 3) == []
+        for triples in (
+            cache.range_scan_batch(EuclideanDistance(), [np.zeros(2)], [1.0]),
+            cache.knn_scan_batch(EuclideanDistance(), [np.zeros(2)], [3]),
+        ):
+            assert [len(column) for column in triples] == [0, 0, 0]
 
     def test_scan_charges_device_time(self, rng):
         device = Device(DeviceSpec())
@@ -102,7 +106,7 @@ class TestCacheTable:
         for i in range(10):
             cache.insert(i, rng.normal(size=2))
         before = device.stats.kernel_launches
-        cache.range_scan(EuclideanDistance(), np.zeros(2), 1.0)
+        cache.range_scan_batch(EuclideanDistance(), [np.zeros(2)], [1.0])
         assert device.stats.kernel_launches == before + 1
 
 

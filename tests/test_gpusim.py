@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,85 @@ class TestExecutionStats:
         stats = ExecutionStats(kernel_launches=4, sim_time=2.0)
         stats.reset()
         assert stats.kernel_launches == 0 and stats.sim_time == 0.0
+
+
+#: The combination rule of every ``ExecutionStats`` field, spelled out by hand
+#: so a new counter must be classified here before the test passes.
+SUMMED = {
+    "kernel_launches", "parallel_steps", "total_ops", "sorted_elements",
+    "bytes_to_device", "bytes_to_host", "sim_time", "host_time", "maintenance_seconds",
+}
+SUMMED_NOT_ABSORBED = {"allocations", "frees"}
+HIGH_WATER = {"peak_memory_bytes"}
+DICT_SUM = {"transfer_seconds"}
+DICT_HIGH_WATER = {"pool_peak_bytes"}
+
+
+def _filled(base: int, own_key: str) -> ExecutionStats:
+    """Stats whose every field holds a distinct non-default value."""
+    values = {}
+    for i, f in enumerate(fields(ExecutionStats)):
+        if f.name in DICT_SUM | DICT_HIGH_WATER:
+            values[f.name] = {"shared": base + i, own_key: 0.5 + i}
+        else:
+            values[f.name] = base + i
+    return ExecutionStats(**values)
+
+
+class TestExecutionStatsFieldRules:
+    @pytest.fixture
+    def pair(self):
+        return _filled(10, "a-only"), _filled(100, "b-only")
+
+    def test_every_field_has_a_rule(self):
+        names = {f.name for f in fields(ExecutionStats)}
+        groups = [SUMMED, SUMMED_NOT_ABSORBED, HIGH_WATER, DICT_SUM, DICT_HIGH_WATER]
+        assert set().union(*groups) == names
+        assert sum(len(g) for g in groups) == len(names)
+        assert all(getattr(ExecutionStats(), name) != getattr(_filled(10, "x"), name)
+                   for name in names)
+
+    def test_every_operation_follows_the_field_rule(self, pair):
+        a, b = pair
+        merged, delta, scaled, copied = a.merge(b), b.delta_since(a), a.scale(0.5), a.copy()
+        as_dict = a.as_dict()
+        reset = a.copy()
+        reset.reset()
+        absorbed = Device(DeviceSpec())
+        absorbed.stats = a.copy()
+        absorbed.absorb(b, sim_time=7.0)
+        assert set(as_dict) == {f.name for f in fields(ExecutionStats)}
+        for name in as_dict:
+            x, y = getattr(a, name), getattr(b, name)
+            if name in SUMMED | SUMMED_NOT_ABSORBED:
+                expected = (x + y, y - x, x * 0.5)
+            elif name in HIGH_WATER:
+                expected = (max(x, y), y, x)
+            elif name in DICT_SUM:
+                expected = (
+                    {**x, **y, "shared": x["shared"] + y["shared"]},
+                    {**y, "shared": y["shared"] - x["shared"]},
+                    {key: value * 0.5 for key, value in x.items()},
+                )
+            else:
+                expected = ({**x, **y, "shared": max(x["shared"], y["shared"])}, y, x)
+            assert (getattr(merged, name), getattr(delta, name), getattr(scaled, name)) == expected, name
+            assert getattr(copied, name) == x and as_dict[name] == x, name
+            assert getattr(reset, name) == getattr(ExecutionStats(), name), name
+            if name == "sim_time":
+                assert absorbed.stats.sim_time == x + 7.0
+            elif name in SUMMED | DICT_SUM:
+                assert getattr(absorbed.stats, name) == expected[0], name
+            else:
+                assert getattr(absorbed.stats, name) == x, name
+
+    def test_copies_do_not_share_dicts(self, pair):
+        a, b = pair
+        for derived in (a.copy(), a.merge(b), b.delta_since(a), a.scale(1.0)):
+            for name in DICT_SUM | DICT_HIGH_WATER:
+                getattr(derived, name)["shared"] = -1
+        for name in DICT_SUM | DICT_HIGH_WATER:
+            assert a.as_dict()[name]["shared"] != -1 and getattr(b, name)["shared"] != -1
 
 
 class TestKernels:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro import GTS, EditDistance, EuclideanDistance
+from repro.baselines import LinearScan
 from repro.exceptions import IndexError_, QueryError, UpdateError
 from repro.gpusim import Device, DeviceSpec
+from repro.shard import ShardedGTS
 from tests.conftest import brute_force_knn, brute_force_range
 
 
@@ -316,3 +318,70 @@ class TestQueryParamValidation:
         assert len(index.range_query_batch(queries, [0.5, 0.7])) == 2
         assert len(index.knn_query_batch(queries, 3)) == 2
         assert len(index.knn_query_batch(queries, [3, 5])) == 2
+
+
+#: (kind, parameter) pairs that must be rejected instead of answered
+MALFORMED_PARAMS = [
+    pytest.param("range", float("nan"), id="nan-radius"),
+    pytest.param("range", [0.5, float("nan")], id="nan-in-radii"),
+    pytest.param("knn", 2.5, id="fractional-k"),
+    pytest.param("knn", [3, 2.5], id="fractional-in-ks"),
+    pytest.param("knn", float("inf"), id="infinite-k"),
+    pytest.param("knn", float("nan"), id="nan-k"),
+]
+
+
+def _stats_without_host_time(stats) -> dict:
+    counters = stats.as_dict()
+    counters.pop("host_time")
+    return counters
+
+
+def _index_and_timelines(family, points, metric):
+    """An index of ``family`` plus a reader of every stats timeline it charges."""
+    if family == "gts":
+        index = GTS.build(points, metric, node_capacity=8)
+        index.insert(np.array([5.0, 5.0]))  # a non-empty cache
+        return index, lambda: [index.device.stats]
+    if family == "sharded":
+        index = ShardedGTS.build(points, metric, num_shards=2, node_capacity=8)
+        return index, lambda: [index.device.stats] + [s.device.stats for s in index.shards]
+    index = LinearScan(metric)
+    index.build(list(points))
+    return index, lambda: [index.sim_stats]
+
+
+class TestMalformedQueryParamsRejected:
+    """NaN radii and non-integral or non-finite k raise QueryError before
+    any simulated charge, instead of answering ``[]`` or truncating k."""
+
+    @pytest.mark.parametrize("family", ["gts", "sharded", "linear-scan"])
+    @pytest.mark.parametrize("kind,param", MALFORMED_PARAMS)
+    def test_batch_calls_reject_stats_neutrally(self, family, kind, param, points_2d, l2_metric):
+        index, timelines = _index_and_timelines(family, points_2d, l2_metric)
+        before = [_stats_without_host_time(s) for s in timelines()]
+        run = index.range_query_batch if kind == "range" else index.knn_query_batch
+        with pytest.raises(QueryError, match="radii" if kind == "range" else "k must"):
+            run([points_2d[0], points_2d[1]], param)
+        assert [_stats_without_host_time(s) for s in timelines()] == before
+
+    @pytest.mark.parametrize("family", ["gts", "sharded"])
+    @pytest.mark.parametrize("kind,param", [("range", float("nan")), ("knn", 2.5)])
+    def test_execute_batch_rejects_stats_neutrally(self, family, kind, param, points_2d, l2_metric):
+        index, timelines = _index_and_timelines(family, points_2d, l2_metric)
+        valid = 0.5 if kind == "range" else 3
+        ops = [(kind, points_2d[0], valid), (kind, points_2d[1], param)]
+        before = [_stats_without_host_time(s) for s in timelines()]
+        with pytest.raises(QueryError):
+            index.execute_batch(ops)
+        assert [_stats_without_host_time(s) for s in timelines()] == before
+
+    def test_single_query_wrappers_reject(self, index, points_2d):
+        with pytest.raises(QueryError, match="radii must not be NaN"):
+            index.range_query(points_2d[0], float("nan"))
+        with pytest.raises(QueryError, match="k must be a finite whole number"):
+            index.knn_query(points_2d[0], 2.5)
+
+    def test_infinite_radius_and_integral_float_k_stay_legal(self, index, points_2d):
+        assert len(index.range_query(points_2d[0], float("inf"))) == len(points_2d)
+        assert index.knn_query(points_2d[0], 3.0) == index.knn_query(points_2d[0], 3)

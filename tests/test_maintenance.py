@@ -32,6 +32,20 @@ from repro.tier import TierConfig
 # --------------------------------------------------------------------------
 # Batched cache scans
 # --------------------------------------------------------------------------
+def _brute_force_cache(cache, metric, query):
+    """Cached ``(id, distance)`` pairs of one query, evaluated pair by pair."""
+    ids = cache.object_ids()
+    dists = metric.pairwise(query, [cache.get(oid) for oid in ids])
+    return [(oid, float(d)) for oid, d in zip(ids, dists)]
+
+
+def _scan_rows(triples, qi):
+    """Query ``qi``'s ``(id, distance)`` triples, in scan order."""
+    qs, ids, dists = triples
+    hit = qs == qi
+    return list(zip(ids[hit].tolist(), dists[hit].tolist()))
+
+
 class TestBatchedCacheScans:
     @pytest.fixture
     def cache(self, rng, device):
@@ -40,24 +54,24 @@ class TestBatchedCacheScans:
             cache.insert(100 + i, rng.normal(size=4))
         return cache
 
-    def test_range_scan_batch_matches_per_query(self, cache, rng, device):
+    def test_range_scan_batch_matches_brute_force(self, cache, rng, device):
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(9)]
         radii = np.linspace(0.5, 3.0, num=9)
-        expected = [
-            cache.range_scan(metric, q, float(r), device)
-            for q, r in zip(queries, radii)
-        ]
-        assert cache.range_scan_batch(metric, queries, radii, device) == expected
+        triples = cache.range_scan_batch(metric, queries, radii, device)
+        for qi, (q, r) in enumerate(zip(queries, radii)):
+            expected = [(o, d) for o, d in _brute_force_cache(cache, metric, q) if d <= r]
+            assert _scan_rows(triples, qi) == expected
 
-    def test_knn_scan_batch_matches_per_query(self, cache, rng, device):
+    def test_knn_scan_batch_matches_brute_force(self, cache, rng, device):
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(7)]
         ks = np.array([1, 2, 3, 5, 8, 37, 100])
-        expected = [
-            cache.knn_scan(metric, q, int(k), device) for q, k in zip(queries, ks)
-        ]
-        assert cache.knn_scan_batch(metric, queries, ks, device) == expected
+        triples = cache.knn_scan_batch(metric, queries, ks, device)
+        for qi, (q, k) in enumerate(zip(queries, ks)):
+            expected = sorted(_brute_force_cache(cache, metric, q), key=lambda p: (p[1], p[0]))
+            # no ties in random data: exactly the k nearest, nothing else
+            assert sorted(_scan_rows(triples, qi), key=lambda p: (p[1], p[0])) == expected[:k]
 
     def test_batch_scan_launches_one_kernel_and_same_pairs(self, cache, rng, device):
         metric = EuclideanDistance()
@@ -75,16 +89,27 @@ class TestBatchedCacheScans:
             cache.insert(50 + i, w)
         metric = EditDistance()
         queries = ["metric", "spice"]
-        expected = [cache.knn_scan(metric, q, 3, device) for q in queries]
-        assert cache.knn_scan_batch(metric, queries, [3, 3], device) == expected
+        triples = cache.knn_scan_batch(metric, queries, [3, 3], device)
+        for qi, q in enumerate(queries):
+            expected = sorted(_brute_force_cache(cache, metric, q), key=lambda p: (p[1], p[0]))
+            kth = expected[2][1]
+            # the 3 nearest plus every object tied with the 3rd
+            assert sorted(_scan_rows(triples, qi), key=lambda p: (p[1], p[0])) == [
+                p for p in expected if p[1] <= kth
+            ]
 
     def test_knn_scan_topk_with_ties(self, device):
         cache = CacheTable(1 << 20, device=device)
         # equidistant objects: the top-k must break ties by ascending id
         for i in range(8):
             cache.insert(i, np.array([1.0, 0.0]))
-        got = cache.knn_scan(EuclideanDistance(), np.zeros(2), 3, device)
-        assert got == [(0, 1.0), (1, 1.0), (2, 1.0)]
+        triples = cache.knn_scan_batch(EuclideanDistance(), [np.zeros(2)], [3], device)
+        assert sorted(_scan_rows(triples, 0)) == [(i, 1.0) for i in range(8)]
+        index = GTS.build(np.full((5, 2), 100.0), EuclideanDistance(), node_capacity=4)
+        ids = [index.insert(np.array([1.0, 0.0])) for _ in range(8)]
+        got = index.knn_query(np.zeros(2), 3)
+        assert got == [(ids[0], 1.0), (ids[1], 1.0), (ids[2], 1.0)]
+        index.close()
 
     def test_gts_query_batch_merges_cache_identically(self, points_2d, l2_metric):
         index = GTS.build(points_2d, l2_metric, node_capacity=8)
