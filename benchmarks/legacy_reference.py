@@ -9,7 +9,10 @@ per-query evaluation strategy:
   per unique query;
 * qualifying results were inserted **per hit** into Python dicts, and the
   MkNNQ candidate pools computed every k-th bound with ``sorted()`` over a
-  per-query dict.
+  per-query dict;
+* edit distance made one Python call per pair into a two-row NumPy dynamic
+  program, one NumPy pass per DP row (superseded by the bit-parallel lane
+  kernel of ``repro.metrics.string``).
 
 This module preserves that strategy, adapted to the current internal
 interfaces, so ``bench_host_wallclock.py`` can measure the refactor's host
@@ -35,9 +38,45 @@ import repro.core.range_query as range_module
 from repro.core.construction import take_objects
 from repro.core.searchcommon import RESULT_BYTES
 from repro.metrics.base import Metric
+from repro.metrics.string import EditDistance
 from repro.metrics.vector import _VectorMetric
 
 __all__ = ["legacy_engine"]
+
+
+def legacy_edit_distance(a: str, b: str) -> int:
+    """Historical Levenshtein distance: a two-row NumPy dynamic program.
+
+    The insertion recurrence ``cur[j] = min(A[j], cur[j-1] + 1)`` has the
+    closed form ``cur[j] = j + cummin(A - index)[j]``, so each DP row is a
+    handful of NumPy operations.
+    """
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    m = len(b)
+    b_codes = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
+    idx = np.arange(m + 1, dtype=np.int64)
+    prev = idx.copy()
+    cand = np.empty(m + 1, dtype=np.int64)
+    for i, ca in enumerate(a, start=1):
+        cost = (b_codes != ord(ca)).astype(np.int64)
+        cand[0] = i
+        np.minimum(prev[:-1] + cost, prev[1:] + 1, out=cand[1:])
+        prev = np.minimum.accumulate(cand - idx) + idx
+    return int(prev[-1])
+
+
+def _legacy_edit_pairwise(self, query, objects):
+    """Historical ``EditDistance._pairwise``: one DP call per pair."""
+    return np.array([legacy_edit_distance(query, o) for o in objects], dtype=np.float64)
+
+
+def _legacy_edit_distance_pair(self, a, b) -> float:
+    return float(legacy_edit_distance(a, b))
 
 
 def _exclude_set(tombstones: Optional[np.ndarray]) -> Optional[set]:
@@ -228,9 +267,9 @@ def legacy_engine():
     """Swap the engine's hot paths for the pre-refactor implementations.
 
     Patches the list-backed object store, per-query pivot distances, dict
-    result buckets, dict candidate pools, and the generic per-query
-    ``pairwise_segmented`` fallback (no fused passes, no store digest).
-    Restores everything on exit.
+    result buckets, dict candidate pools, the generic per-query
+    ``pairwise_segmented`` fallback (no fused passes, no store digest) and
+    the per-pair NumPy edit-distance DP.  Restores everything on exit.
     """
     saved = (
         gts_module.make_object_store,
@@ -241,6 +280,10 @@ def legacy_engine():
         knn_module._CandidatePools,
         _VectorMetric._pairwise_segmented,
         Metric.store_digest,
+        EditDistance._distance,
+        EditDistance._pairwise,
+        EditDistance._matrix,
+        EditDistance._pairwise_segmented,
     )
     gts_module.make_object_store = lambda objs: [objs[i] for i in range(len(objs))]
     range_module.pivot_distances_per_query = _legacy_pivot_distances
@@ -250,6 +293,10 @@ def legacy_engine():
     knn_module._CandidatePools = _LegacyCandidatePools
     _VectorMetric._pairwise_segmented = Metric._pairwise_segmented
     Metric.store_digest = lambda self, matrix: None
+    EditDistance._distance = _legacy_edit_distance_pair
+    EditDistance._pairwise = _legacy_edit_pairwise
+    EditDistance._matrix = Metric._matrix
+    EditDistance._pairwise_segmented = Metric._pairwise_segmented
     try:
         yield
     finally:
@@ -262,4 +309,8 @@ def legacy_engine():
             knn_module._CandidatePools,
             _VectorMetric._pairwise_segmented,
             Metric.store_digest,
+            EditDistance._distance,
+            EditDistance._pairwise,
+            EditDistance._matrix,
+            EditDistance._pairwise_segmented,
         ) = saved

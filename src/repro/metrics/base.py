@@ -24,8 +24,10 @@ A :class:`Metric` exposes three granularities of evaluation:
     by a whole query batch, partitioned into per-query segments by an offsets
     array.  This is how the batch MRQ/MkNNQ engine evaluates an entire tree
     level in one call — vector metrics answer it with a single gather +
-    broadcast pass over all (query, candidate) pairs, while string/set
-    metrics fall back to a per-segment loop.
+    broadcast pass over all (query, candidate) pairs, edit distance with a
+    bit-parallel kernel that advances every pair as one machine-word lane
+    (:mod:`repro.metrics.string`), while Hamming and the set metrics fall
+    back to a per-segment loop.
 
 Every call is counted.  Distance computations are the currency of metric
 similarity search — the paper's efficiency claims boil down to "GTS computes
@@ -209,9 +211,10 @@ class Metric:
     def _pairwise_segmented(
         self, queries, objects, boundaries: np.ndarray, object_digest=None
     ) -> np.ndarray:
-        # Generic fallback: one _pairwise call per non-empty segment.  String
-        # and set metrics inherit this loop; vector metrics override it with
-        # a single broadcast pass.  The digest is unused here.
+        # Generic fallback: one _pairwise call per non-empty segment.  Hamming
+        # and the set metrics inherit this loop; vector metrics and edit
+        # distance override it with one pass over all pairs.  The digest is
+        # unused here.
         out = np.empty(int(boundaries[-1]), dtype=np.float64)
         for qi in range(len(queries)):
             start, end = int(boundaries[qi]), int(boundaries[qi + 1])

@@ -22,6 +22,8 @@ from repro.metrics import (
 )
 from repro.metrics.base import Metric, MetricCounter
 
+from edit_reference import reference_edit_distance
+
 
 class TestEditDistanceFunction:
     def test_identical_strings(self):
@@ -56,22 +58,11 @@ class TestEditDistanceFunction:
         assert edit_distance("metric", "metrics") == 1
 
     def test_long_strings_match_reference(self):
-        # reference implementation: classic full DP
-        def reference(a, b):
-            dp = np.zeros((len(a) + 1, len(b) + 1), dtype=int)
-            dp[:, 0] = np.arange(len(a) + 1)
-            dp[0, :] = np.arange(len(b) + 1)
-            for i in range(1, len(a) + 1):
-                for j in range(1, len(b) + 1):
-                    cost = 0 if a[i - 1] == b[j - 1] else 1
-                    dp[i, j] = min(dp[i - 1, j] + 1, dp[i, j - 1] + 1, dp[i - 1, j - 1] + cost)
-            return int(dp[-1, -1])
-
         rng = np.random.default_rng(5)
         for _ in range(20):
             a = "".join(rng.choice(list("ACGT"), size=int(rng.integers(0, 30))))
             b = "".join(rng.choice(list("ACGT"), size=int(rng.integers(0, 30))))
-            assert edit_distance(a, b) == reference(a, b)
+            assert edit_distance(a, b) == reference_edit_distance(a, b)
 
     def test_length_difference_lower_bound(self):
         assert edit_distance("a", "abcdef") >= 5
@@ -187,6 +178,46 @@ class TestEditDistanceMetric:
         d = m.pairwise("metric", word_list[:10])
         assert len(d) == 10
         assert all(x >= 0 for x in d)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.pairwise("abc", ["ab", 3]),
+            lambda m: m.pairwise(3, ["ab", "abc"]),
+            lambda m: m.matrix(["abc"], ["ab", None]),
+            lambda m: m.pairwise_segmented(["abc", b"ab"], ["ab", "b"], [0, 1, 2]),
+            lambda m: m.pairwise("abc", ["ab"] * 70 + [["a", "b"]]),
+            lambda m: m.validate_objects(["ab", 3]),
+        ],
+    )
+    def test_non_strings_raise_metric_error(self, call):
+        with pytest.raises(MetricError):
+            call(EditDistance())
+
+    def test_validate_objects_accepts_str_subclasses(self):
+        EditDistance().validate_objects(["ab", np.str_("cd"), ""])
+
+    def test_lone_surrogates_and_non_bmp_have_distances(self):
+        assert edit_distance("ab", "\ud800") == 2
+        assert edit_distance("a\ud800", "\ud800") == 1
+        assert edit_distance("\U0001f600x", "x") == 1
+        # a surrogate pair written as two code points is two characters
+        assert edit_distance("\ud83d\ude00", "\U0001f600") == 2
+        m = EditDistance()
+        texts = ["\ud800", "a\ud800", "\U0001f600", "\udfff\ud800"] * 20
+        expected = [reference_edit_distance("a\ud800", t) for t in texts]
+        np.testing.assert_array_equal(m.pairwise("a\ud800", texts), expected)
+
+    def test_index_over_lone_surrogates(self):
+        from repro import GTS
+
+        words = ["a\ud800", "\ud800", "b\udc00c", "abc", "\U0001f600", "ab"] * 6
+        index = GTS.build(words, EditDistance(), node_capacity=4, seed=2)
+        hits = index.range_query("\ud800", 1)
+        expected = sorted(
+            i for i, w in enumerate(words) if reference_edit_distance("\ud800", w) <= 1
+        )
+        assert sorted(i for i, _ in hits) == expected
 
 
 class TestMetricCounting:

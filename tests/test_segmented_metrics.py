@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.metrics.string as string_metrics
 from repro.exceptions import MetricError
-from repro.metrics import get_metric
+from repro.metrics import EditDistance, edit_distance, get_metric
 from repro.metrics.base import Metric
 from repro.metrics.registry import available_metrics
 from repro.metrics.vector import AngularDistance, EuclideanDistance, _VectorMetric
+
+from edit_reference import reference_edit_distance
 
 
 def _objects_for(metric, rng, count):
@@ -197,3 +201,125 @@ class TestSegmentedDistanceKernel:
         )
         assert delta.kernel_launches == 1
         assert delta.total_ops == pytest.approx(len(objects) * metric.unit_cost)
+
+
+#: A small alphabet (so distances are not all maximal), a non-BMP character,
+#: a NUL and both halves of a surrogate pair as lone code points.
+LANE_ALPHABET = ["a", "b", "c", "\U0001f600", "\x00", "\ud83d", "\ude00"]
+#: Lengths either side of the 64-bit word boundaries, and anything up to 140.
+LANE_LENGTH = st.one_of(
+    st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 140]), st.integers(0, 140)
+)
+
+
+@st.composite
+def lane_strings(draw):
+    length = draw(LANE_LENGTH)
+    symbols = draw(st.integers(1, len(LANE_ALPHABET)))
+    chars = st.sampled_from(LANE_ALPHABET[:symbols])
+    return "".join(draw(st.lists(chars, min_size=length, max_size=length)))
+
+
+@st.composite
+def segmented_calls(draw):
+    queries = draw(st.lists(lane_strings(), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=len(queries), max_size=len(queries)))
+    objects = draw(st.lists(lane_strings(), min_size=sum(sizes), max_size=sum(sizes)))
+    boundaries = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    return queries, objects, boundaries
+
+
+def _reference_segmented(queries, objects, boundaries):
+    return [
+        reference_edit_distance(queries[qi], objects[k])
+        for qi in range(len(queries))
+        for k in range(boundaries[qi], boundaries[qi + 1])
+    ]
+
+
+class TestEditDistanceLanes:
+    """The bit-parallel lane kernel equals the classic full DP exactly."""
+
+    @given(call=segmented_calls(), lane_chunk=st.sampled_from([1, 3, 4096]))
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_match_reference_dp(self, call, lane_chunk):
+        queries, objects, boundaries = call
+        expected = _reference_segmented(queries, objects, boundaries)
+        with pytest.MonkeyPatch.context() as mp:
+            # every call through the lanes, in chunks of every shape
+            mp.setattr(string_metrics, "SCALAR_PAIRS", 0)
+            mp.setattr(string_metrics, "LANE_CHUNK", lane_chunk)
+            lanes = string_metrics.edit_distance_segmented(queries, objects, boundaries)
+        assert lanes.tolist() == expected
+        scalar = [
+            edit_distance(queries[qi], objects[k])
+            for qi in range(len(queries))
+            for k in range(boundaries[qi], boundaries[qi + 1])
+        ]
+        assert scalar == expected
+        metric = EditDistance()
+        np.testing.assert_array_equal(
+            metric.pairwise_segmented(queries, objects, boundaries), expected
+        )
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_batches_at_the_chunk_edge(self, extra):
+        rng = np.random.default_rng(41 + extra)
+        lanes = string_metrics.LANE_CHUNK + extra
+        words = ["".join(rng.choice(list("abcd"), size=int(n))) for n in rng.integers(0, 9, 64)]
+        queries = words[:5] + ["", "dcba"]
+        objects = [words[int(i)] for i in rng.integers(0, len(words), lanes)]
+        cuts = np.sort(rng.integers(0, lanes + 1, len(queries) - 1))
+        boundaries = np.concatenate(([0], cuts, [lanes])).astype(np.int64)
+        got = string_metrics.edit_distance_segmented(queries, objects, boundaries)
+        assert got.tolist() == _reference_segmented(queries, objects, boundaries)
+
+    def test_large_alphabet_caps_queries_per_chunk(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        queries = [
+            "".join(chr(0x4E00 + int(c)) for c in rng.integers(0, 400, 6)) for _ in range(30)
+        ]
+        objects = [q[::-1] + q[:2] for q in queries for _ in range(4)]
+        boundaries = np.arange(len(queries) + 1, dtype=np.int64) * 4
+        expected = _reference_segmented(queries, objects, boundaries)
+        monkeypatch.setattr(string_metrics, "PEQ_CHUNK_ROWS", 500)
+        got = string_metrics.edit_distance_segmented(queries, objects, boundaries)
+        assert got.tolist() == expected
+
+    def test_empty_segments_and_strings(self):
+        queries = ["", "abc", "", "x" * 70, "ab"]
+        sizes = [3, 0, 0, 66, 2]
+        objects = ["", "a", "abc"] + ["x" * n for n in range(66)] + ["", "ba"]
+        boundaries = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        got = EditDistance().pairwise_segmented(queries, objects, boundaries)
+        np.testing.assert_array_equal(got, _reference_segmented(queries, objects, boundaries))
+
+    def test_pairwise_matrix_and_distance_agree_bitwise(self):
+        rng = np.random.default_rng(47)
+        words = [
+            "".join(rng.choice(list("acgt"), size=int(n))) for n in rng.integers(0, 120, 30)
+        ]
+        xs, ys = words[:9], words[9:]
+        metric = EditDistance()
+        matrix = metric.matrix(xs, ys)
+        for i, x in enumerate(xs):
+            row = metric.pairwise(x, ys * 4)  # 84 pairs: the lane kernel
+            np.testing.assert_array_equal(row, np.tile(matrix[i], 4))
+            np.testing.assert_array_equal(
+                matrix[i], [metric.distance(x, y) for y in ys]
+            )
+
+    def test_counter_semantics(self):
+        metric = EditDistance()
+        words = ["abc", "abd", "", "xyz"] * 20
+        metric.pairwise("ab", words)
+        assert metric.counter.snapshot() == {"calls": 1, "pairs": 80}
+        metric.matrix(words[:3], words)
+        assert metric.counter.snapshot() == {"calls": 2, "pairs": 320}
+        metric.pairwise_segmented(["a", "b"], words, [0, 30, 80])
+        assert metric.counter.snapshot() == {"calls": 3, "pairs": 400}
+        metric.distance("a", "b")
+        assert metric.counter.snapshot() == {"calls": 4, "pairs": 401}
+        metric.pairwise("ab", [])
+        metric.matrix([], words)
+        assert metric.counter.snapshot() == {"calls": 4, "pairs": 401}
