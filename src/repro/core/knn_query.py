@@ -43,6 +43,7 @@ from .searchcommon import (
     PruneMode,
     broadcast_query_param,
     dedupe_min_triples,
+    dense_band_filter,
     filter_live_triples,
     leaf_candidate_segments,
     leaf_prefetch_ids,
@@ -145,6 +146,9 @@ def _verify_leaves(
 
     Same fused shape as the MRQ verification: per-query id-sorted candidate
     segments, one gather, one segmented distance call, one bulk pool add.
+    Dense angular batches first drop, through one GEMM tile and its error
+    band, the candidates provably beyond the pool's k-th bound or beyond
+    ``k`` other candidates (:func:`~repro.core.searchcommon.dense_band_filter`).
     """
     if len(leaf_q) == 0:
         return
@@ -161,6 +165,16 @@ def _verify_leaves(
     )
     total_verified = len(obj_ids)
     if total_verified:
+        unique_queries, boundaries, obj_ids = dense_band_filter(
+            metric,
+            objects,
+            queries,
+            unique_queries,
+            boundaries,
+            obj_ids,
+            pools.bounds(unique_queries),
+            k=pools.k_of(unique_queries),
+        )
         # sorted gather: order-insensitive (candidates land in the pool) and
         # block-coalesced for tiered stores (see range_query)
         query_objects = take_objects(queries, unique_queries)

@@ -39,6 +39,7 @@ from .searchcommon import (
     PruneMode,
     ResultTriples,
     broadcast_query_param,
+    dense_band_filter,
     leaf_candidate_segments,
     leaf_prefetch_ids,
     level_pair_limit,
@@ -69,7 +70,9 @@ def _verify_leaves(
     One fused pass: the surviving leaves' table-list slices are expanded into
     per-query, id-sorted candidate segments, gathered once, and evaluated
     with a single segmented distance call; qualifying hits land in the
-    triple-array accumulator.
+    triple-array accumulator.  Dense angular batches first drop, through
+    one GEMM tile and its error band, the candidates provably beyond the
+    radius (:func:`~repro.core.searchcommon.dense_band_filter`).
     """
     if len(leaf_q) == 0:
         return
@@ -89,6 +92,9 @@ def _verify_leaves(
     total_verified = len(obj_ids)
     total_hits = 0
     if total_verified:
+        unique_queries, boundaries, obj_ids = dense_band_filter(
+            metric, objects, queries, unique_queries, boundaries, obj_ids, radii[unique_queries]
+        )
         # gather in id order per query: results are order-insensitive (keyed
         # by id) and a sorted gather is block-coalesced, which is what a
         # tiered store's paging behaviour should be measured against

@@ -37,9 +37,20 @@ import numpy as np
 from ..exceptions import MemoryDeadlockError, QueryError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
+from ..metrics.vector import (
+    AngularDistance,
+    angular_cosine_floor,
+    angular_distance_ceiling,
+    angular_tile_halfwidth,
+)
 from .construction import concatenated_ranges, take_objects
 from .nodes import TreeStructure
-from .objectstore import GATHER_CHUNK_ELEMENTS, object_dimension, store_metric_digest
+from .objectstore import (
+    GATHER_CHUNK_ELEMENTS,
+    object_dimension,
+    rows_matrix,
+    store_metric_digest,
+)
 
 __all__ = [
     "ENTRY_BYTES",
@@ -56,6 +67,7 @@ __all__ = [
     "pivot_distances_per_query",
     "segmented_distances",
     "leaf_candidate_segments",
+    "dense_band_filter",
     "leaf_prefetch_ids",
     "prune_children",
     "IntermediateTable",
@@ -66,6 +78,13 @@ ENTRY_BYTES = 32
 
 #: Simulated size of one verified-result slot ``{object, distance}``.
 RESULT_BYTES = 16
+
+#: Dense-tile dispatch of leaf verification: a batch's candidates are
+#: filtered through one dense tile when the tile (queries x candidate id
+#: span) has at most this many cells per candidate pair; sparser batches
+#: keep the segmented gather alone.  A 300-d tile cell costs a few percent
+#: of a row-wise pair, so the break-even lies well above this factor.
+DENSE_TILE_FACTOR = 8
 
 
 def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndarray:
@@ -466,6 +485,117 @@ def leaf_candidate_segments(
     unique_queries = owner[starts]
     boundaries = np.append(starts, len(owner))
     return unique_queries, boundaries, obj_ids
+
+
+def dense_band_filter(
+    metric: Metric,
+    objects: Sequence,
+    queries: Sequence,
+    unique_queries: np.ndarray,
+    boundaries: np.ndarray,
+    obj_ids: np.ndarray,
+    cutoffs: np.ndarray,
+    k: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the leaf candidates whose exact distance provably exceeds a cutoff.
+
+    Takes and returns the ``(unique_queries, boundaries, obj_ids)`` segments
+    of :func:`leaf_candidate_segments`.  ``cutoffs`` holds one value per
+    segment: the radius for MRQ, the pool's k-th bound for MkNNQ, which
+    also passes each segment's ``k``.  A pair is dropped only when its
+    row-wise distance — the value :func:`segmented_distances` would return —
+    is strictly greater than the cutoff, or, for MkNNQ, strictly greater
+    than the distances of ``k`` distinct candidates of the same query: the
+    caller would cull such a pair or never rank it in the top k, so no
+    answer and no pool bound changes.  The survivors keep their segments;
+    the caller evaluates them exactly.
+
+    The filter runs for :class:`~repro.metrics.vector.AngularDistance` over
+    a resident columnar store when the batch is dense (``queries x id span
+    <= DENSE_TILE_FACTOR x pairs``), as blocks of one float64 GEMM tile with
+    a rigorous error band (DESIGN.md §8, "Dense angular tiles").  Otherwise
+    — other metrics, list stores, tiered stores whose gathers must fault
+    their blocks in the measured order, sparse batches — it returns its
+    input unchanged.  ``counter.pairs`` still counts every candidate pair
+    once: the dropped pairs are recorded here, the survivors by their exact
+    evaluation.  Simulated accounting is the caller's and is unchanged.
+    """
+    unchanged = unique_queries, boundaries, obj_ids
+    matrix = rows_matrix(objects)
+    if (
+        len(obj_ids) == 0
+        or matrix is None
+        or not isinstance(metric, AngularDistance)
+        or getattr(objects, "coalesced_gather", False)
+    ):
+        return unchanged
+    first = int(obj_ids.min())
+    span = int(obj_ids.max()) - first + 1
+    num_segments = len(unique_queries)
+    # a tile cosine and the row-wise clipped cosine differ by at most the
+    # half-width; the margin also absorbs one subtraction's rounding
+    margin = angular_tile_halfwidth(matrix.shape[1]) + 4.0 * 2.0 ** -53
+    if num_segments * span > DENSE_TILE_FACTOR * len(obj_ids) or not np.isfinite(margin):
+        return unchanged
+    query_objects = take_objects(queries, unique_queries)
+    candidate = np.zeros((num_segments, span), dtype=bool)
+    for i in range(num_segments):
+        candidate[i, obj_ids[boundaries[i] : boundaries[i + 1]] - first] = True
+    digest = store_metric_digest(objects, metric)
+    cutoffs = np.asarray(cutoffs, dtype=np.float64)
+    if k is not None:
+        # the kmax largest tile cosines per query seen so far, negated and
+        # unordered; ranks past the candidate count read -inf
+        kmax = int(min(int(np.max(k)), span))
+        best = np.full((num_segments, kmax), np.inf)
+        rank = (np.arange(num_segments), np.minimum(k, kmax) - 1)
+    block = max(1, GATHER_CHUNK_ELEMENTS // max(num_segments, matrix.shape[1]))
+    floor = None
+    kept_seg, kept_col, kept_cos = [], [], []
+    for start in range(0, span, block):
+        stop = min(span, start + block)
+        cos = metric.cosine_tile(
+            query_objects,
+            matrix[first + start : first + stop],
+            None if digest is None else digest[first + start : first + stop],
+        )
+        cand = candidate[:, start:stop]
+        if k is not None:
+            # NaN cells (no band) sort after +inf, so they can only reach a
+            # rank when a query has fewer candidates, and then bound nothing
+            merged = np.concatenate((best, np.where(cand, -cos, np.inf)), axis=1)
+            best = np.partition(merged, kmax - 1, axis=1)[:, :kmax]
+            # k distinct candidates have a row-wise cosine of at least
+            # kth - margin, hence a distance of at most its ceiling
+            kth = np.where(k > kmax, -np.inf, -np.sort(best, axis=1)[rank])
+            bound = np.minimum(cutoffs, angular_distance_ceiling(kth - margin))
+            floor = angular_cosine_floor(bound) - margin
+        elif floor is None:
+            floor = angular_cosine_floor(cutoffs) - margin
+        # tile cosine below floor: row-wise cosine below the cosine floor,
+        # distance strictly beyond the bound (NaN cells always survive)
+        seg, col = np.nonzero(cand & ~(cos < floor[:, None]))
+        kept_seg.append(seg)
+        kept_col.append(col + (first + start))
+        kept_cos.append(cos[seg, col])
+    seg = np.concatenate(kept_seg)
+    ids = np.concatenate(kept_col)
+    if k is not None:
+        # earlier blocks were filtered against a looser running bound
+        final = ~(np.concatenate(kept_cos) < floor[seg])
+        seg, ids = seg[final], ids[final]
+    order = np.argsort(seg, kind="stable")
+    seg, ids = seg[order], ids[order]
+    dropped = len(obj_ids) - len(ids)
+    if dropped:
+        metric.counter.record(dropped)
+    counts = np.bincount(seg, minlength=num_segments)
+    present = counts > 0
+    return (
+        unique_queries[present],
+        np.concatenate(([0], np.cumsum(counts[present]))).astype(np.int64),
+        ids.astype(np.int64),
+    )
 
 
 def leaf_prefetch_ids(tree: TreeStructure, leaf_node: np.ndarray) -> np.ndarray:

@@ -29,6 +29,23 @@ A :class:`Metric` exposes three granularities of evaluation:
     (:mod:`repro.metrics.string`), while Hamming and the set metrics fall
     back to a per-segment loop.
 
+Dense angular tiles.  When a batch's leaf candidates are dense, the query
+engine does not send every pair through ``pairwise_segmented``: for
+:class:`~repro.metrics.vector.AngularDistance` over a resident columnar
+store it first computes one float64 GEMM tile of cosines
+(``AngularDistance.cosine_tile``).  A rigorous error band
+(``angular_tile_halfwidth``) bounds each tile cosine against the row-wise
+value: both summation orders of the dot product, the division, the clip,
+and the arccos and cosine ulps of the distance maps.  The band is built in
+cosine space, because arccos is not Lipschitz at ±1.  Pairs whose distance
+provably exceeds the query's radius, or the k-th bound, are dropped.  The
+rest are evaluated row-wise, so every returned distance is the
+``pairwise_segmented`` value bit for bit.  Dropped pairs are recorded on
+the counter, so ``counter.pairs`` is the same as if every pair had been
+evaluated (DESIGN.md §8, "Dense angular tiles";
+:func:`repro.core.searchcommon.dense_band_filter`).  Edit distance needs
+no such band: its lanes compute exact integers.
+
 Every call is counted.  Distance computations are the currency of metric
 similarity search — the paper's efficiency claims boil down to "GTS computes
 far fewer distances and evaluates the rest with massive parallelism" — so the

@@ -28,6 +28,10 @@ __all__ = [
     "ChebyshevDistance",
     "MinkowskiDistance",
     "AngularDistance",
+    "TILE_NORM_RANGE",
+    "angular_tile_halfwidth",
+    "angular_distance_ceiling",
+    "angular_cosine_floor",
 ]
 
 
@@ -207,13 +211,85 @@ class ChebyshevDistance(MinkowskiDistance):
         self.name = "linf-norm"
 
 
+#: float64 unit roundoff.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+#: Norm range of the dense angular tile (DESIGN.md §8).  With both norms
+#: inside it no product, partial sum or norm overflows (all stay below
+#: ``2**1020``) and every gradual-underflow error is far below the
+#: dot-product term of the band (the norm product stays above ``2**-1000``);
+#: a pair with a norm outside it (zero vectors included) gets no band and is
+#: always recomputed row-wise.
+TILE_NORM_RANGE = (2.0 ** -500, 2.0 ** 510)
+
+
+def angular_tile_halfwidth(dim: int) -> float:
+    """Bound on ``|row-wise cosine - tile cosine|`` of one pair with a band.
+
+    Both cosines divide a dot product by the same ``fl(‖x‖ ‖q‖)`` (the norms
+    are the identical row-wise values), so they differ only through the
+    dot product and the division.  For ``d`` coordinates, with
+    ``u = 2**-53`` and ``γ = d u / (1 - d u)``, and in every summation
+    order, with or without fused multiply-adds (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1):
+
+    * each dot product is within ``γ Σ|x_i q_i| + d 2**-1075`` of the exact
+      one, so the two are within ``2γ ‖x‖‖q‖`` plus the underflow term;
+    * ``‖x‖‖q‖ <= fl(‖x‖ ‖q‖) (1 + 2γ + 16u)`` (the computed norms sum
+      non-negative squares, relative error ``γ``), and the norms inside
+      :data:`TILE_NORM_RANGE` bound the underflow terms by ``d 2**-74``
+      after the division;
+    * each division adds ``u`` times a cosine of magnitude below 1.001.
+
+    The ``3u`` term covers the divisions, the factor ``1 + 2**-20`` the
+    rounding of this formula and of the callers' threshold arithmetic.
+    The clip to ``[-1, 1]`` is monotone, so it only narrows the band.
+    Returns ``inf`` (no band) when ``γ`` is not small.
+    """
+    u = _UNIT_ROUNDOFF
+    gamma = dim * u / (1.0 - dim * u)
+    if not 0.0 <= gamma <= 1e-4:
+        return float("inf")
+    dot = 2.0 * gamma * (1.0 + 2.0 * gamma + 16.0 * u) * (1.0 + dim * 2.0 ** -73)
+    return (dot + dim * 2.0 ** -74 + 3.0 * u) * (1.0 + 2.0 ** -20)
+
+
+def angular_distance_ceiling(cos_lo) -> np.ndarray:
+    """Upper bound on the row-wise distance of any clipped cosine ``>= cos_lo``.
+
+    ``arccos`` is decreasing, and the row-wise ``fl(fl(arccos(c)) / fl(π))``
+    exceeds the exact ``arccos(c) / π`` by at most ``11u`` relative if the
+    library arccos is within 4 ulps; the factor ``1 + 2**-48`` (32u) covers
+    that, the same error of the ceiling's own arccos, and its roundings.
+    """
+    return np.arccos(np.clip(cos_lo, -1.0, 1.0)) / np.pi * (1.0 + 2.0 ** -48)
+
+
+def angular_cosine_floor(cutoff) -> np.ndarray:
+    """Cosine ``t`` with: clipped row-wise cosine ``< t`` ⟹ distance ``> cutoff``.
+
+    ``t`` lies below ``cos(π cutoff (1 + 12u))``: the angle carries the
+    ``11u`` of the arccos/π rounding (see :func:`angular_distance_ceiling`)
+    through ``1 + 2**-48``, and ``2**-49`` (16u) covers a 4-ulp cosine and the
+    subtraction.  Cutoffs at or beyond ``1 - 2**-20`` (and NaN) get ``-inf``:
+    nothing is provably farther, and the angle must stay below π where the
+    cosine is decreasing.
+    """
+    cutoff = np.asarray(cutoff, dtype=np.float64)
+    usable = cutoff < 1.0 - 2.0 ** -20
+    theta = np.pi * np.where(usable, cutoff, 0.0) * (1.0 + 2.0 ** -48)
+    floor = np.cos(theta) - 2.0 ** -49
+    return np.where(usable & (floor > -1.0), floor, -np.inf)
+
+
 class AngularDistance(_VectorMetric):
     """Angular ("word cosine") distance: ``arccos(cosine similarity) / pi``.
 
     This is the metric used for the Vector dataset (300-d word embeddings).
     It lies in ``[0, 1]`` and satisfies the triangle inequality (it is the
     great-circle distance on the unit sphere up to a constant factor), unlike
-    raw ``1 - cosine`` similarity.
+    raw ``1 - cosine`` similarity.  Two zero vectors are at distance 0; a
+    zero vector is at 0.5 from every other vector.
     """
 
     is_lp_norm = False
@@ -225,22 +301,32 @@ class AngularDistance(_VectorMetric):
         self.unit_cost = 1.5
 
     @staticmethod
-    def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        na = np.linalg.norm(a, axis=-1)
-        nb = np.linalg.norm(b, axis=-1)
+    def _cosine_rows(a: np.ndarray, b: np.ndarray, na, nb) -> np.ndarray:
+        """Clipped cosine of aligned (or broadcast) 2-d rows given their norms.
+
+        The one row-wise formula behind every entry point.  A pair of two
+        all-zero vectors gets cosine 1, so ``d(x, x) = 0`` holds for them
+        too; a zero norm alone does not decide that, because the squares of
+        a tiny non-zero vector can underflow.
+        """
         denom = na * nb
         denom = np.where(denom == 0.0, 1.0, denom)
-        cos = np.sum(a * b, axis=-1) / denom
-        return np.clip(cos, -1.0, 1.0)
+        cos = np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0)
+        both = _zero_rows(a, na) & _zero_rows(b, nb)
+        if both.any():
+            cos[np.broadcast_to(both, cos.shape)] = 1.0
+        return cos
+
+    @classmethod
+    def _cosine(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return cls._cosine_rows(a, b, np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
 
     def _distance(self, a, b) -> float:
         x, y = _as_vector(a), _as_vector(b)
         if x.shape != y.shape:
             raise MetricError(f"dimension mismatch: {x.shape} vs {y.shape}")
         self._observe_dimension(x.shape[0])
-        if not x.any() and not y.any():
-            return 0.0
-        return float(np.arccos(self._cosine(x, y)) / np.pi)
+        return float(np.arccos(self._cosine(x[None, :], y[None, :]))[0] / np.pi)
 
     def _pairwise(self, query, objects) -> np.ndarray:
         q = _as_vector(query)
@@ -260,15 +346,6 @@ class AngularDistance(_VectorMetric):
         """
         return np.linalg.norm(np.asarray(matrix, dtype=np.float64), axis=-1)
 
-    @staticmethod
-    def _cosine_with_norms(a: np.ndarray, b: np.ndarray, na: np.ndarray) -> np.ndarray:
-        # _cosine with the object norms supplied (same ops, same bits)
-        nb = np.linalg.norm(b, axis=-1)
-        denom = na * nb
-        denom = np.where(denom == 0.0, 1.0, denom)
-        cos = np.sum(a * b, axis=-1) / denom
-        return np.clip(cos, -1.0, 1.0)
-
     def _segment_pairwise(self, query, objects, digest) -> np.ndarray:
         if digest is None:
             return self._pairwise(query, objects)
@@ -277,7 +354,9 @@ class AngularDistance(_VectorMetric):
         if mat.shape[1] != q.shape[0]:
             raise MetricError(f"dimension mismatch: {q.shape[0]} vs {mat.shape[1]}")
         self._observe_dimension(q.shape[0])
-        cos = self._cosine_with_norms(mat, q[None, :], digest)
+        # _cosine with the object norms supplied (same ops, same bits)
+        q = q[None, :]
+        cos = self._cosine_rows(mat, q, digest, np.linalg.norm(q, axis=-1))
         return np.arccos(cos) / np.pi
 
     def _fused_segmented(self, queries, objects, boundaries, object_digest=None) -> np.ndarray:
@@ -290,10 +369,38 @@ class AngularDistance(_VectorMetric):
         counts = np.diff(boundaries)
         na = object_digest if object_digest is not None else np.linalg.norm(mat, axis=-1)
         nb = np.repeat(np.linalg.norm(_as_matrix(queries), axis=-1), counts)
-        denom = na * nb
-        denom = np.where(denom == 0.0, 1.0, denom)
-        cos = np.clip(np.sum(mat * qrep, axis=-1) / denom, -1.0, 1.0)
-        return np.arccos(cos) / np.pi
+        return np.arccos(self._cosine_rows(mat, qrep, na, nb)) / np.pi
+
+    def cosine_tile(self, queries, rows, row_norms=None) -> np.ndarray:
+        """Dense cosine tile of a query batch against candidate rows.
+
+        ``cos[i, j]`` is ``fl(q_i · x_j / fl(‖x_j‖ ‖q_i‖))`` from one float64
+        GEMM; the clipped cosine the row-wise path computes for the pair
+        lies within ``angular_tile_halfwidth(d)`` of it.  Cells whose query
+        or row norm lies outside :data:`TILE_NORM_RANGE` hold NaN: they have
+        no band and must be recomputed.  ``row_norms`` is the store digest
+        slice of ``rows`` when available.  Not counted as distance
+        evaluations: the caller decides which pairs the band settles.
+        """
+        qmat = _as_matrix(queries)
+        mat = _as_matrix(rows)
+        if mat.shape[1] != qmat.shape[1]:
+            raise MetricError(f"dimension mismatch: {qmat.shape[1]} vs {mat.shape[1]}")
+        self._observe_dimension(qmat.shape[1])
+        low, high = TILE_NORM_RANGE
+        with np.errstate(all="ignore"):
+            # rows outside the norm range may overflow or divide by zero;
+            # their cells are overwritten with NaN below
+            qn = np.linalg.norm(qmat, axis=-1)
+            rn = np.linalg.norm(mat, axis=-1) if row_norms is None else row_norms
+            cos = (qmat @ mat.T) / (rn[None, :] * qn[:, None])
+        bad_q = ~((qn >= low) & (qn <= high))
+        bad_r = ~((rn >= low) & (rn <= high))
+        if bad_q.any():
+            cos[bad_q, :] = np.nan
+        if bad_r.any():
+            cos[:, bad_r] = np.nan
+        return cos
 
     def _matrix(self, xs, ys) -> np.ndarray:
         a = _as_matrix(xs)
@@ -301,7 +408,18 @@ class AngularDistance(_VectorMetric):
         self._observe_dimension(a.shape[1])
         na = np.linalg.norm(a, axis=1)
         nb = np.linalg.norm(b, axis=1)
+        zero_a, zero_b = _zero_rows(a, na), _zero_rows(b, nb)
         na = np.where(na == 0.0, 1.0, na)
         nb = np.where(nb == 0.0, 1.0, nb)
         cos = np.clip((a @ b.T) / np.outer(na, nb), -1.0, 1.0)
+        cos[np.ix_(zero_a, zero_b)] = 1.0  # d(0, 0) = 0
         return np.arccos(cos) / np.pi
+
+
+def _zero_rows(mat: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Rows that are all zeros (only rows with norm 0 are inspected)."""
+    zero = norms == 0.0
+    if zero.any():
+        candidates = np.flatnonzero(zero)
+        zero[candidates] = ~mat[candidates].any(axis=1)
+    return zero
