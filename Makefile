@@ -62,7 +62,7 @@ profile-updates:
 	$(PYTHON) -c "import pstats; pstats.Stats('profile_updates.out').sort_stats('cumulative').print_stats(20)"
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench
 	$(PYTHON) -c "import repro; print('import ok:', repro.__version__)"
 
 example:

@@ -34,7 +34,6 @@ import numpy as np
 
 import repro.core.gts as gts_module
 import repro.core.knn_query as knn_module
-import repro.core.range_query as range_module
 from repro.core.construction import take_objects
 from repro.core.searchcommon import RESULT_BYTES
 from repro.metrics.base import Metric
@@ -111,72 +110,22 @@ def _legacy_pivot_distances(device, metric, objects, queries, cand_query, pivot_
     return out
 
 
-def _legacy_mrq_verify(
-    tree, objects, metric, device, queries, radii, leaf_q, leaf_node, tombstones, results
-) -> None:
-    """Historical MRQ leaf verification: per-query pairwise + per-hit inserts."""
-    if len(leaf_q) == 0:
-        return
-    exclude = _exclude_set(tombstones)
-    if getattr(objects, "prefetch_enabled", False):
-        objects.prefetch_ids(
-            np.concatenate([tree.node_objects(int(n)) for n in np.unique(leaf_node)])
-        )
-    order = np.argsort(leaf_q, kind="stable")
-    sorted_q = leaf_q[order]
-    unique_queries, starts = np.unique(sorted_q, return_index=True)
-    boundaries = list(starts) + [len(order)]
-    total_verified = 0
-    host_start = time.perf_counter()
-    total_hits = 0
-    buckets: dict[int, dict[int, float]] = {}
-    for qi, query_index in enumerate(unique_queries):
-        idx = order[boundaries[qi] : boundaries[qi + 1]]
-        obj_ids = np.concatenate([tree.node_objects(int(n)) for n in leaf_node[idx]])
-        if exclude:
-            obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
-        if len(obj_ids) == 0:
-            continue
-        obj_ids = np.sort(obj_ids)
-        candidates = take_objects(objects, obj_ids)
-        dists = metric.pairwise(queries[int(query_index)], candidates)
-        total_verified += len(obj_ids)
-        r = radii[int(query_index)]
-        hit = dists <= r
-        total_hits += int(hit.sum())
-        bucket = buckets.setdefault(int(query_index), {})
-        for oid, dist in zip(obj_ids[hit], dists[hit]):
-            bucket[int(oid)] = float(dist)
-    host = time.perf_counter() - host_start
-    device.launch_kernel(
-        work_items=total_verified,
-        op_cost=metric.unit_cost,
-        label="mrq-verify",
-        host_time=host,
-    )
-    if total_hits:
-        buffer_bytes = min(total_hits * RESULT_BYTES, max(RESULT_BYTES, device.available_bytes))
-        alloc = device.allocate(buffer_bytes, "mrq-results", pool="workspace")
-        device.transfer_to_host(total_hits * RESULT_BYTES, label="results-d2h")
-        device.free(alloc)
-    # integration shim: hand the dict buckets to the triple accumulator
-    for query_index, bucket in buckets.items():
-        if bucket:
-            ids = np.fromiter(bucket.keys(), dtype=np.int64, count=len(bucket))
-            ds = np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket))
-            results.add(np.full(len(bucket), query_index, dtype=np.int64), ids, ds)
+class _LegacyCandidatePools(knn_module._CandidatePools):
+    """Historical per-query dict pools: per-item adds, ``sorted()`` k-th bounds.
 
+    Keeps the engine pool's interface (radius or ``k``, labels, the k-th
+    selection charge, the cache scan); only the host data structure differs.
+    """
 
-class _LegacyCandidatePools:
-    """Historical per-query dict pools (sorted() k-th bounds, per-item adds)."""
-
-    def __init__(self, num_queries: int, k: np.ndarray, tombstones: Optional[np.ndarray]):
+    def __init__(self, num_queries: int, tombstones: Optional[np.ndarray], *, radii=None, k=None):
+        super().__init__(num_queries, tombstones, radii=radii, k=k)
         self._pools: list[dict[int, float]] = [dict() for _ in range(num_queries)]
-        self._k = k
         self._exclude = _exclude_set(tombstones)
 
     def _add_one(self, query_index: int, obj_id: int, dist: float) -> None:
         if self._exclude and obj_id in self._exclude:
+            return
+        if self._radii is not None and dist > self._radii[query_index]:
             return
         pool = self._pools[query_index]
         prev = pool.get(obj_id)
@@ -194,35 +143,38 @@ class _LegacyCandidatePools:
             self._add_one(query_index, int(oid), float(dist))
 
     def bound(self, query_index: int) -> float:
+        if self.k is None:
+            return float(self._radii[query_index])
         pool = self._pools[query_index]
-        k = int(self._k[query_index])
+        k = int(self.k[query_index])
         if len(pool) < k:
             return np.inf
         dists = sorted(pool.values())
         return float(dists[k - 1])
 
     def bounds(self, query_indices) -> np.ndarray:
+        if self.k is None:
+            return self._radii[np.asarray(query_indices, dtype=np.int64)]
         return np.array([self.bound(int(q)) for q in query_indices], dtype=np.float64)
-
-    def k_of(self, query_indices) -> np.ndarray:
-        return self._k[np.asarray(query_indices, dtype=np.int64)]
 
     def topk(self, query_index: int) -> list[tuple[int, float]]:
         pool = self._pools[query_index]
-        k = int(self._k[query_index])
         ranked = sorted(pool.items(), key=lambda item: (item[1], item[0]))
-        return [(int(oid), float(dist)) for oid, dist in ranked[:k]]
+        if self.k is not None:
+            ranked = ranked[: int(self.k[query_index])]
+        return [(int(oid), float(dist)) for oid, dist in ranked]
 
-    def topk_all(self) -> list[list[tuple[int, float]]]:
+    def finalize(self) -> list[list[tuple[int, float]]]:
         return [self.topk(qi) for qi in range(len(self._pools))]
 
 
-def _legacy_knn_verify(
+def _legacy_verify(
     tree, objects, metric, device, queries, leaf_q, leaf_node, tombstones, pools
 ) -> None:
-    """Historical MkNNQ leaf verification: per-query pairwise + dict pools."""
+    """Historical leaf verification: per-query pairwise + per-hit dict inserts."""
     if len(leaf_q) == 0:
         return
+    exclude = pools._exclude
     if getattr(objects, "prefetch_enabled", False):
         objects.prefetch_ids(
             np.concatenate([tree.node_objects(int(n)) for n in np.unique(leaf_node)])
@@ -232,11 +184,11 @@ def _legacy_knn_verify(
     unique_queries, starts = np.unique(sorted_q, return_index=True)
     boundaries = list(starts) + [len(order)]
     total_verified = 0
+    total_hits = 0
     host_start = time.perf_counter()
     for qi, query_index in enumerate(unique_queries):
         idx = order[boundaries[qi] : boundaries[qi + 1]]
         obj_ids = np.concatenate([tree.node_objects(int(n)) for n in leaf_node[idx]])
-        exclude = pools._exclude
         if exclude:
             obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
         if len(obj_ids) == 0:
@@ -245,16 +197,26 @@ def _legacy_knn_verify(
         candidates = take_objects(objects, obj_ids)
         dists = metric.pairwise(queries[int(query_index)], candidates)
         total_verified += len(obj_ids)
+        if pools.k is None:
+            hit = dists <= pools.bound(int(query_index))
+            total_hits += int(hit.sum())
+            obj_ids, dists = obj_ids[hit], dists[hit]
         pools.add_many(int(query_index), obj_ids, dists)
     host = time.perf_counter() - host_start
     device.launch_kernel(
         work_items=total_verified,
         op_cost=metric.unit_cost,
-        label="mknn-verify",
+        label=f"{pools.label}-verify",
         host_time=host,
     )
-    if total_verified:
-        answers = int(sum(pools._k[int(q)] for q in unique_queries))
+    if pools.k is None:
+        if total_hits:
+            buffer_bytes = min(total_hits * RESULT_BYTES, max(RESULT_BYTES, device.available_bytes))
+            alloc = device.allocate(buffer_bytes, "mrq-results", pool="workspace")
+            device.transfer_to_host(total_hits * RESULT_BYTES, label="results-d2h")
+            device.free(alloc)
+    elif total_verified:
+        answers = int(sum(pools.k[int(q)] for q in unique_queries))
         needed = max(answers, 1) * RESULT_BYTES
         buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
         alloc = device.allocate(buffer_bytes, "mknn-results", pool="workspace")
@@ -266,15 +228,14 @@ def _legacy_knn_verify(
 def legacy_engine():
     """Swap the engine's hot paths for the pre-refactor implementations.
 
-    Patches the list-backed object store, per-query pivot distances, dict
-    result buckets, dict candidate pools, the generic per-query
+    Patches the list-backed object store, per-query pivot distances, the
+    per-query leaf verification, dict candidate pools (range hits and kNN
+    candidates alike), the generic per-query
     ``pairwise_segmented`` fallback (no fused passes, no store digest) and
     the per-pair NumPy edit-distance DP.  Restores everything on exit.
     """
     saved = (
         gts_module.make_object_store,
-        range_module.pivot_distances_per_query,
-        range_module._verify_leaves,
         knn_module.pivot_distances_per_query,
         knn_module._verify_leaves,
         knn_module._CandidatePools,
@@ -286,10 +247,8 @@ def legacy_engine():
         EditDistance._pairwise_segmented,
     )
     gts_module.make_object_store = lambda objs: [objs[i] for i in range(len(objs))]
-    range_module.pivot_distances_per_query = _legacy_pivot_distances
-    range_module._verify_leaves = _legacy_mrq_verify
     knn_module.pivot_distances_per_query = _legacy_pivot_distances
-    knn_module._verify_leaves = _legacy_knn_verify
+    knn_module._verify_leaves = _legacy_verify
     knn_module._CandidatePools = _LegacyCandidatePools
     _VectorMetric._pairwise_segmented = Metric._pairwise_segmented
     Metric.store_digest = lambda self, matrix: None
@@ -302,8 +261,6 @@ def legacy_engine():
     finally:
         (
             gts_module.make_object_store,
-            range_module.pivot_distances_per_query,
-            range_module._verify_leaves,
             knn_module.pivot_distances_per_query,
             knn_module._verify_leaves,
             knn_module._CandidatePools,

@@ -209,6 +209,8 @@ class GTS:
         """
         if len(objects) == 0:
             raise IndexError_("cannot bulk load an empty object collection")
+        # reject malformed objects (e.g. a NaN row) before anything changes
+        self.metric.validate_objects(objects)
         if self._maintenance is not None:
             self._maintenance.abort()
         self._release_index()
@@ -569,6 +571,7 @@ class GTS:
         self._require_built()
         # Validate before charging or touching the store: a rejected insert
         # must be stats-neutral and must not consume an object id.
+        self.metric.validate_objects([obj])
         self._cache.ensure_fits(obj)
         obj_id = len(self._objects)
         self._objects.append(obj)
@@ -623,6 +626,7 @@ class GTS:
         touched.
         """
         self._require_built()
+        self.metric.validate_objects([new_obj])
         self._cache.ensure_fits(new_obj)
         self.delete(obj_id)
         return self.insert(new_obj)
@@ -675,6 +679,7 @@ class GTS:
         """
         self._require_built()
         inserts = list(inserts)
+        self.metric.validate_objects(inserts)
         delete_set = {int(d) for d in deletes}
         if not inserts and not delete_set:
             # zero-cost result over the standing tree: no construction ran

@@ -1,26 +1,33 @@
-"""Batch metric k-nearest-neighbour query (MkNNQ) over a GTS tree — Algorithm 5.
+"""Batch MkNNQ over a GTS tree (Algorithm 5) and the descent it shares with MRQ.
 
-The batch kNN search follows the same level-synchronous, memory-aware descent
-as the range query but replaces the fixed radius with a per-query running
-bound:
+Algorithm 5 is Algorithm 4 with one change: Lemma 5.2 replaces the fixed
+radius of Lemma 5.1 with each query's running k-th bound.  Both algorithms
+therefore run the one level-synchronous, memory-aware descent of this module
+(:func:`search_batch`) over one candidate pool (:class:`_CandidatePools`):
 
-* every pivot met during the descent is a real indexed object, so its
-  distance to the query is a legitimate kNN candidate; the k-th smallest
-  candidate distance seen so far is the query's current bound ``d(q, k_cur)``;
-* a child node is pruned (Lemma 5.2) when every object it can contain is
-  provably at distance ``>= d(q, k_cur)`` from the query, using the child's
-  ``[min_dis, max_dis]`` interval of distances to the parent pivot;
-* at the leaf level all surviving objects are verified and merged with the
-  candidate pool; the k smallest distances are returned.
+1. each live (query, node) pair knows ``d(q, N.pivot)``;
+2. every child of every candidate node is tested against the lemma in one
+   kernel, with the pool's per-query bound as the allowance: the radius for
+   MRQ, the k-th smallest candidate distance seen so far for MkNNQ (``inf``
+   until ``k`` candidates are known);
+3. surviving internal children get their own pivot distance computed (one
+   kernel, grouped per query) and become the next level's candidates; every
+   pivot is itself an indexed object, so its distance joins the pool;
+   surviving leaves go to verification;
+4. before expanding a level, the projected intermediate-table size is checked
+   against the per-level memory limit; if it does not fit the query batch is
+   split into groups processed sequentially (the two-stage strategy).
 
-The candidate pools are flat ``(query, id, distance)`` triple arrays: adds
-append in O(1), and the per-query k-th bounds are recomputed lazily with one
-global dedup-lexsort plus a ``np.partition`` per query — no per-hit Python
-dict traffic (DESIGN.md §8).
+Verification computes the real distances of every object in the surviving
+leaves and keeps those within the query's bound.  The pool holds flat
+``(query, id, distance)`` triple arrays: adds append in O(1), MkNNQ bounds
+are recomputed lazily with one dedup-lexsort plus a ``np.partition`` per
+query, and both answers come out of one final lexsort (DESIGN.md §8).
 
-The result is exact in the usual tie-tolerant sense: the returned distances
-are the true k smallest, and when several objects tie at the k-th distance an
-arbitrary subset of the tied objects completes the answer.
+Range answers are exact.  kNN answers are exact in the usual tie-tolerant
+sense: the returned distances are the true k smallest, and when several
+objects tie at the k-th distance an arbitrary subset of the tied objects
+completes the answer.
 """
 
 from __future__ import annotations
@@ -56,38 +63,60 @@ from .searchcommon import (
     triples_to_answer_lists,
 )
 
-__all__ = ["batch_knn_query"]
+__all__ = ["batch_knn_query", "search_batch"]
 
 
 class _CandidatePools:
-    """Per-query kNN candidate pools as flat (query, id, distance) arrays.
+    """Per-query candidate pools of one batch as flat (query, id, distance) arrays.
 
-    Adds are O(1) array appends; compaction (triggered lazily by bound or
-    top-k reads) merges the pending triples with one ``np.lexsort``, keeping
-    the minimum distance per (query, id) pair — the same semantics as the
-    historical per-hit dict updates, minus the Python-object traffic.
+    Built with per-query ``radii`` (MRQ) or ``k`` (MkNNQ), which set the
+    bound every pruning and verification test compares against: the fixed
+    radius, or the k-th smallest distinct candidate distance so far.  Adds
+    are O(1) array appends that drop tombstoned objects and, for MRQ,
+    objects beyond the radius; compaction (triggered lazily by a kNN bound
+    read or by :meth:`finalize`) merges the pending triples with one
+    ``np.lexsort``, keeping the minimum distance per (query, id) pair.
     """
 
-    def __init__(self, num_queries: int, k: np.ndarray, tombstones: Optional[np.ndarray]):
+    def __init__(
+        self,
+        num_queries: int,
+        tombstones: Optional[np.ndarray],
+        *,
+        radii: Optional[np.ndarray] = None,
+        k: Optional[np.ndarray] = None,
+    ):
         self._num_queries = int(num_queries)
-        self._k = k
         self._tombstones = tombstones
+        self._radii = radii
+        #: per-query k of an MkNNQ pool, None for MRQ
+        self.k = k
+        #: kernel and buffer label prefix
+        self.label = "mrq" if k is None else "mknn"
         # compacted pool: sorted by (query, id), unique per (query, id)
         self._cq = np.zeros(0, dtype=np.int64)
         self._cid = np.zeros(0, dtype=np.int64)
         self._cd = np.zeros(0, dtype=np.float64)
         self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._bounds: Optional[np.ndarray] = None
+        # a radius never moves; a k-th bound is recomputed after adds
+        self._bounds: Optional[np.ndarray] = radii
 
     def add(self, query_indices, obj_ids, dists) -> None:
-        """Append candidate triples; tombstoned objects are dropped here."""
+        """Append candidate triples, dropping tombstoned and out-of-radius ones."""
         query_indices, obj_ids, dists = filter_live_triples(
             query_indices, obj_ids, dists, self._tombstones
         )
+        if self._radii is not None and len(obj_ids):
+            within = dists <= self._radii[query_indices]
+            if not within.all():
+                query_indices, obj_ids, dists = (
+                    query_indices[within], obj_ids[within], dists[within]
+                )
         if len(obj_ids) == 0:
             return
         self._pending.append((query_indices, obj_ids, dists))
-        self._bounds = None
+        if self.k is not None:
+            self._bounds = None
 
     def _compact(self) -> None:
         if not self._pending:
@@ -99,35 +128,61 @@ class _CandidatePools:
         self._cq, self._cid, self._cd = dedupe_min_triples(qs, ids, dists)
 
     def _ensure_bounds(self) -> np.ndarray:
-        self._compact()
         if self._bounds is None:
+            self._compact()
             bounds = np.full(self._num_queries, np.inf, dtype=np.float64)
             edges = np.searchsorted(
                 self._cq, np.arange(self._num_queries + 1, dtype=np.int64)
             )
             for qi in range(self._num_queries):
                 start, end = int(edges[qi]), int(edges[qi + 1])
-                k = int(self._k[qi])
+                k = int(self.k[qi])
                 if end - start >= k:
                     bounds[qi] = np.partition(self._cd[start:end], k - 1)[k - 1]
             self._bounds = bounds
         return self._bounds
 
-    def bound(self, query_index: int) -> float:
-        """Current k-th bound: inf until k distinct candidates are known."""
-        return float(self._ensure_bounds()[int(query_index)])
-
     def bounds(self, query_indices: np.ndarray) -> np.ndarray:
+        """Current bound per query: the radius, or the k-th distance (inf until k)."""
         return self._ensure_bounds()[np.asarray(query_indices, dtype=np.int64)]
 
-    def k_of(self, query_indices: np.ndarray) -> np.ndarray:
-        return self._k[np.asarray(query_indices, dtype=np.int64)]
+    def level_bounds(self, device: Device, cand_q: np.ndarray) -> np.ndarray:
+        """Bounds of a level's candidate pairs, charging the k-th selection.
 
-    def topk_all(self) -> list[list[tuple[int, float]]]:
-        """Every query's top-k answer list from one global (q, dist, id) sort."""
+        The device sorts each kNN query's candidate distances to locate its
+        k-th bound (Algorithm 5 lines 11-12); a radius costs nothing.
+        """
+        bounds = self.bounds(cand_q)
+        if self.k is not None:
+            device.launch_kernel(work_items=len(cand_q), op_cost=4.0, label="mknn-kth-bound")
+        return bounds
+
+    def k_of(self, query_indices: np.ndarray) -> Optional[np.ndarray]:
+        """Per-query ``k`` of an MkNNQ pool; None for MRQ."""
+        if self.k is None:
+            return None
+        return self.k[np.asarray(query_indices, dtype=np.int64)]
+
+    def result_slots(self, leaf_q: np.ndarray, hits: int) -> int:
+        """Result-buffer slots of one verification pass.
+
+        MRQ ships its hits; MkNNQ ships ``k`` per distinct verified query.
+        """
+        if self.k is None:
+            return hits
+        return max(int(self.k[np.unique(leaf_q)].sum()), 1)
+
+    def scan_cache(self, cache: CacheTable, metric: Metric, queries: Sequence, device: Device):
+        """The cache table's triples for this pool's queries (one scan kernel)."""
+        if self.k is None:
+            return cache.range_scan_batch(metric, queries, self._radii, device)
+        return cache.knn_scan_batch(metric, queries, self.k, device)
+
+    def finalize(self) -> list[list[tuple[int, float]]]:
+        """Per-query ``(id, distance)`` lists by (distance, id), cut to ``k``."""
         self._compact()
         return triples_to_answer_lists(
-            self._cq, self._cid, self._cd, self._num_queries, k=self._k
+            self._cq, self._cid, self._cd, self._num_queries, k=self.k
         )
 
 
@@ -144,15 +199,19 @@ def _verify_leaves(
 ) -> None:
     """Verify every object of the surviving leaves against its query.
 
-    Same fused shape as the MRQ verification: per-query id-sorted candidate
-    segments, one gather, one segmented distance call, one bulk pool add.
-    Dense angular batches first drop, through one GEMM tile and its error
-    band, the candidates provably beyond the pool's k-th bound or beyond
-    ``k`` other candidates (:func:`~repro.core.searchcommon.dense_band_filter`).
+    One fused pass: the surviving leaves' table-list slices are expanded into
+    per-query candidate segments, gathered once, and evaluated with a single
+    segmented distance call; the candidates within the query's bound land in
+    the pool.  Dense angular batches first drop, through one GEMM tile and
+    its error band, the candidates provably beyond the bound or, for MkNNQ,
+    beyond ``k`` other candidates
+    (:func:`~repro.core.searchcommon.dense_band_filter`).
     """
     if len(leaf_q) == 0:
         return
-    # Lookahead for tiered stores (see range_query._verify_leaves).
+    # Lookahead for tiered stores: the surviving leaves are the first stage's
+    # candidate list, so their object blocks can be staged in one coalesced
+    # prefetch before verification gathers them.
     if getattr(objects, "prefetch_enabled", False):
         objects.prefetch_ids(leaf_prefetch_ids(tree, leaf_node))
     host_start = time.perf_counter()
@@ -164,6 +223,7 @@ def _verify_leaves(
         coalesce=getattr(objects, "coalesced_gather", False),
     )
     total_verified = len(obj_ids)
+    hits = 0
     if total_verified:
         unique_queries, boundaries, obj_ids = dense_band_filter(
             metric,
@@ -175,33 +235,32 @@ def _verify_leaves(
             pools.bounds(unique_queries),
             k=pools.k_of(unique_queries),
         )
-        # sorted gather: order-insensitive (candidates land in the pool) and
-        # block-coalesced for tiered stores (see range_query)
         query_objects = take_objects(queries, unique_queries)
         dists = segmented_distances(metric, objects, query_objects, boundaries, obj_ids)
         owner = np.repeat(unique_queries, np.diff(boundaries))
-        # Host-side candidate culling: a verified object strictly beyond the
-        # query's current k-th bound can never enter the final top-k (the
-        # bound only shrinks, and ties at the bound are kept).  This is what
-        # a real device kernel does — select per query, ship k results — and
-        # it keeps the host pool near k entries per query instead of every
-        # verified candidate.  Answers and device accounting are unaffected.
+        # An MRQ hit, or a kNN candidate not beyond the current k-th bound
+        # (the bound only shrinks and ties at it are kept, so a culled object
+        # never enters the final top-k).  This is what a device kernel does:
+        # select per query, ship only the results.
         keep = dists <= pools.bounds(owner)
-        if not keep.all():
+        hits = int(keep.sum())
+        if hits < len(keep):
             owner, obj_ids, dists = owner[keep], obj_ids[keep], dists[keep]
         pools.add(owner, obj_ids, dists)
     host = time.perf_counter() - host_start
     device.launch_kernel(
         work_items=total_verified,
         op_cost=metric.unit_cost,
-        label="mknn-verify",
+        label=f"{pools.label}-verify",
         host_time=host,
     )
-    if total_verified:
-        answers = int(pools.k_of(np.unique(leaf_q)).sum())
-        needed = max(answers, 1) * RESULT_BYTES
+    # result buffer, streamed back to the host in chunks, so it never needs
+    # to exceed the memory that is still available on the device
+    slots = pools.result_slots(leaf_q, hits) if total_verified else 0
+    if slots:
+        needed = slots * RESULT_BYTES
         buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
-        alloc = device.allocate(buffer_bytes, "mknn-results", pool="workspace")
+        alloc = device.allocate(buffer_bytes, f"{pools.label}-results", pool="workspace")
         device.transfer_to_host(needed, label="results-d2h")
         device.free(alloc)
 
@@ -220,7 +279,7 @@ def _descend(
     mode: PruneMode,
     pools: _CandidatePools,
 ) -> None:
-    """Recursive per-level expansion (the Knn_Q function of Algorithm 5)."""
+    """Recursive per-level expansion (Range_Q of Algorithm 4, Knn_Q of Algorithm 5)."""
     if len(cand_q) == 0:
         return
     if tree.is_leaf_level(layer):
@@ -229,6 +288,8 @@ def _descend(
         )
         return
 
+    # Two-stage memory strategy: split the batch when the projected
+    # intermediate table would exceed the per-level limit.
     limit_pairs = level_pair_limit(device, tree.height, layer, tree.node_capacity)
     if len(cand_q) > limit_pairs:
         for group in split_into_groups(cand_q, limit_pairs):
@@ -249,16 +310,9 @@ def _descend(
         return
 
     projected = len(cand_q) * tree.node_capacity
-    with IntermediateTable(device, projected, label=f"mknn-level-{layer + 1}"):
-        # Current per-pair bound d(q, k_cur); Lemma 5.2 prunes children whose
-        # whole distance interval lies at or beyond the bound.
-        bounds = pools.bounds(cand_q)
-        # The device sorts the candidate distances per query to locate the
-        # k-th bound (Algorithm 5 lines 11-12); charge that selection.
-        device.launch_kernel(work_items=len(cand_q), op_cost=4.0, label="mknn-kth-bound")
-        pair_index, child_ids = prune_children(
-            tree, cand_node, pivot_dist, bounds, bounds, mode, device
-        )
+    with IntermediateTable(device, projected, label=f"{pools.label}-level-{layer + 1}"):
+        bounds = pools.level_bounds(device, cand_q)
+        pair_index, child_ids = prune_children(tree, cand_node, pivot_dist, bounds, mode, device)
         next_q = cand_q[pair_index]
 
         if tree.is_leaf_level(layer + 1):
@@ -284,6 +338,87 @@ def _descend(
             mode,
             pools,
         )
+
+
+def _search_tree(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    tombstones: Optional[np.ndarray],
+    mode: PruneMode,
+    pools: _CandidatePools,
+) -> None:
+    """Descend the whole tree for the batch, adding candidates to ``pools``."""
+    num_queries = len(queries)
+    # Load the queries onto the device (Section 5.1: queries are copied from
+    # the CPU to the GPU before processing).
+    device.transfer_to_device(num_queries * ENTRY_BYTES)
+
+    cand_q = np.arange(num_queries, dtype=np.int64)
+    cand_node = np.zeros(num_queries, dtype=np.int64)
+
+    if tree.height == 0:
+        # Degenerate tree: the root is the single (over-full) leaf.
+        pivot_dist = np.zeros(num_queries, dtype=np.float64)
+    else:
+        root_pivots = np.full(num_queries, tree.pivot[0], dtype=np.int64)
+        pivot_dist = pivot_distances_per_query(
+            device, metric, objects, queries, cand_q, root_pivots
+        )
+        pools.add(cand_q, root_pivots, pivot_dist)
+
+    _descend(
+        tree,
+        objects,
+        metric,
+        device,
+        queries,
+        0,
+        cand_q,
+        cand_node,
+        pivot_dist,
+        tombstones,
+        mode,
+        pools,
+    )
+
+
+def search_batch(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    exclude: Optional[set],
+    cache: Optional[CacheTable],
+    prune_mode: str | PruneMode,
+    *,
+    radii: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+) -> list[list[tuple[int, float]]]:
+    """Answer a batch given per-query ``radii`` (MRQ) or ``k`` (MkNNQ), not both.
+
+    The single engine entry behind :func:`batch_knn_query` and
+    :func:`~repro.core.range_query.batch_range_query`.  Query objects the
+    metric cannot honour (a non-finite vector, a non-string for edit
+    distance) raise :class:`~repro.exceptions.MetricError` before anything
+    is charged.  The tree descent runs first and the cache table's scan
+    second, so the cache never tightens a pruning bound; tombstones never
+    name a cached id.
+    """
+    mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
+    if len(queries) == 0:
+        return []
+    metric.validate_objects(queries)
+    tombstones = tombstone_array(exclude)
+    pools = _CandidatePools(len(queries), tombstones, radii=radii, k=k)
+    if tree.num_objects:
+        _search_tree(tree, objects, metric, device, queries, tombstones, mode, pools)
+    if cache is not None and len(cache):
+        pools.add(*pools.scan_cache(cache, metric, queries, device))
+    return pools.finalize()
 
 
 def batch_knn_query(
@@ -318,62 +453,9 @@ def batch_knn_query(
     One list per query of ``(object_id, distance)`` pairs, sorted by distance
     then id, of length ``min(k, number of visible objects)``.
     """
-    num_queries = len(queries)
-    k_arr = broadcast_query_param(k, num_queries, "k", np.int64)
+    k_arr = broadcast_query_param(k, len(queries), "k", np.int64)
     if np.any(k_arr <= 0):
         raise QueryError("k must be positive for a kNN query")
-    mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
-
-    if num_queries == 0:
-        return []
-    tombstones = tombstone_array(exclude)
-    pools = _CandidatePools(num_queries, k_arr, tombstones)
-    if tree.num_objects:
-        _search_tree(tree, objects, metric, device, queries, tombstones, mode, pools)
-    if cache is not None and len(cache):
-        # after the descent, so the cache never tightens a pruning bound;
-        # tombstones never name a cached id
-        pools.add(*cache.knn_scan_batch(metric, queries, k_arr, device))
-    return pools.topk_all()
-
-
-def _search_tree(
-    tree: TreeStructure,
-    objects: Sequence,
-    metric: Metric,
-    device: Device,
-    queries: Sequence,
-    tombstones: Optional[np.ndarray],
-    mode: PruneMode,
-    pools: _CandidatePools,
-) -> None:
-    """Descend the whole tree for the batch, adding candidates to ``pools``."""
-    num_queries = len(queries)
-    device.transfer_to_device(num_queries * ENTRY_BYTES)
-
-    cand_q = np.arange(num_queries, dtype=np.int64)
-    cand_node = np.zeros(num_queries, dtype=np.int64)
-
-    if tree.height == 0:
-        pivot_dist = np.zeros(num_queries, dtype=np.float64)
-    else:
-        root_pivots = np.full(num_queries, tree.pivot[0], dtype=np.int64)
-        pivot_dist = pivot_distances_per_query(
-            device, metric, objects, queries, cand_q, root_pivots
-        )
-        pools.add(cand_q, root_pivots, pivot_dist)
-
-    _descend(
-        tree,
-        objects,
-        metric,
-        device,
-        queries,
-        0,
-        cand_q,
-        cand_node,
-        pivot_dist,
-        tombstones,
-        mode,
-        pools,
+    return search_batch(
+        tree, objects, metric, device, queries, exclude, cache, prune_mode, k=k_arr
     )

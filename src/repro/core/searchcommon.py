@@ -12,15 +12,17 @@ Both query algorithms (Sections 5.1 and 5.2) share four ingredients:
   batch is divided into groups processed sequentially;
 * tracking intermediate-result allocations on the simulated device so that
   memory pressure has observable consequences;
-* **triple-array result accumulation** (:class:`ResultTriples`): every
-  qualifying ``(query, object, distance)`` hit — tree pivots, verified leaf
-  objects and the cache table's scan alike — is appended as flat arrays and
-  turned into the per-query sorted answer lists by one final
-  ``np.lexsort`` (:func:`triples_to_answer_lists`, which the sharded index's
-  merge uses too), instead of per-hit Python dict inserts.
+* **triple-array results**: every candidate ``(query, object, distance)`` —
+  tree pivots, verified leaf objects and the cache table's scan alike — is
+  appended as flat arrays to the one candidate pool of the shared descent
+  (:mod:`repro.core.knn_query`), deduplicated by
+  :func:`dedupe_min_triples` and turned into the per-query sorted answer
+  lists by one final ``np.lexsort`` (:func:`triples_to_answer_lists`, which
+  the sharded index's merge uses too), instead of per-hit Python dict
+  inserts.
 
-The helpers here are pure functions over NumPy arrays, which keeps the two
-query modules small and the behaviour property-testable.  Only the *host*
+The helpers here are pure functions over NumPy arrays, which keeps the query
+modules small and the behaviour property-testable.  Only the *host*
 evaluation strategy lives here — the simulated device-time accounting
 (kernel launches, work item counts, transfer flows) is byte-for-byte the
 same as the historical per-query implementation (DESIGN.md §8).
@@ -55,7 +57,6 @@ from .objectstore import (
 __all__ = [
     "ENTRY_BYTES",
     "PruneMode",
-    "ResultTriples",
     "broadcast_query_param",
     "tombstone_array",
     "tombstoned_mask",
@@ -145,8 +146,8 @@ def tombstoned_mask(obj_ids: np.ndarray, tombstones: Optional[np.ndarray]) -> Op
 def filter_live_triples(query_indices, obj_ids, dists, tombstones):
     """Normalise (query, id, dist) triples and drop tombstoned objects.
 
-    Returns the three aligned arrays, possibly empty — the shared add()
-    prologue of :class:`ResultTriples` and the MkNNQ candidate pools.
+    Returns the three aligned arrays, possibly empty — the add() prologue of
+    the query engine's candidate pools.
     """
     obj_ids = np.asarray(obj_ids, dtype=np.int64)
     query_indices = np.asarray(query_indices, dtype=np.int64)
@@ -171,7 +172,8 @@ def triples_to_answer_lists(
 
     One global ``(query, distance, id)`` lexsort, then per-query slices —
     truncated to ``k[qi]`` entries when a per-query ``k`` array is given.
-    The shared finalisation of MRQ results and MkNNQ top-k extraction.
+    The finalisation of the engine's candidate pools and of the sharded
+    index's merge.
     """
     order = np.lexsort((ids, dists, qs))
     qs, ids, dists = qs[order], ids[order], dists[order]
@@ -194,8 +196,8 @@ def dedupe_min_triples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate (query, id) pairs to their minimum distance.
 
-    Returns the surviving triples sorted by (query, id).  Both query answer
-    finalisation and the MkNNQ pools use this; the engine only ever produces
+    Returns the surviving triples sorted by (query, id): the compaction of
+    the engine's candidate pools.  The engine only ever produces
     equal distances for duplicates, so min matches the historical
     last-write-wins dict semantics.
     """
@@ -206,49 +208,6 @@ def dedupe_min_triples(
     # already in key order, i.e. sorted by (query, id)
     keep = order[np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))]
     return qs[keep], ids[keep], dists[keep]
-
-
-class ResultTriples:
-    """Batch result accumulation as flat ``(query, object, distance)`` arrays.
-
-    Every qualifying hit — leaf verification survivors, pivot self-reports —
-    is appended as aligned arrays; :meth:`finalize` produces the per-query
-    answer lists with one global ``np.lexsort``: duplicates of the same
-    (query, object) pair collapse to their minimum distance (the engine only
-    ever produces equal distances for duplicates, so this matches the
-    historical last-write-wins dict), and each query's survivors come out
-    sorted by ``(distance, object_id)``.
-    """
-
-    __slots__ = ("_num_queries", "_tombstones", "_qs", "_ids", "_dists")
-
-    def __init__(self, num_queries: int, tombstones: Optional[np.ndarray] = None):
-        self._num_queries = int(num_queries)
-        self._tombstones = tombstones
-        self._qs: list[np.ndarray] = []
-        self._ids: list[np.ndarray] = []
-        self._dists: list[np.ndarray] = []
-
-    def add(self, query_indices, obj_ids, dists) -> None:
-        """Append hit triples; tombstoned objects are filtered out here."""
-        query_indices, obj_ids, dists = filter_live_triples(
-            query_indices, obj_ids, dists, self._tombstones
-        )
-        if len(obj_ids) == 0:
-            return
-        self._qs.append(query_indices)
-        self._ids.append(obj_ids)
-        self._dists.append(dists)
-
-    def finalize(self) -> list[list[tuple[int, float]]]:
-        """Per-query ``(object_id, distance)`` lists sorted by (distance, id)."""
-        out: list[list[tuple[int, float]]] = [[] for _ in range(self._num_queries)]
-        if not self._qs:
-            return out
-        qs, ids, dists = dedupe_min_triples(
-            np.concatenate(self._qs), np.concatenate(self._ids), np.concatenate(self._dists)
-        )
-        return triples_to_answer_lists(qs, ids, dists, self._num_queries)
 
 
 @dataclass(frozen=True)
@@ -608,8 +567,7 @@ def prune_children(
     tree: TreeStructure,
     cand_node: np.ndarray,
     pivot_dist: np.ndarray,
-    lower_allowance: np.ndarray,
-    upper_allowance: np.ndarray,
+    allowance: np.ndarray,
     mode: PruneMode,
     device: Device,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -621,12 +579,14 @@ def prune_children(
         Candidate node ids (all at the same level), one per pair.
     pivot_dist:
         ``d(q, N.pivot)`` for each pair.
-    lower_allowance / upper_allowance:
-        Per-pair slack on each side of the interval test.  For MRQ both equal
-        the radius ``r`` and the comparison is strict (Lemma 5.1 prunes when
-        ``|d(o,p) - d(q,p)| > r``); for MkNNQ both equal the current k-th
-        bound and the lemma's ``>=`` is obtained by shrinking the allowance
-        by an epsilon at the call site.
+    allowance:
+        Per-pair slack of the interval test: the radius ``r`` for MRQ, the
+        query's current k-th bound for MkNNQ.  A child survives when
+        ``[d(q,p) - allowance, d(q,p) + allowance]`` meets its
+        ``[min_dis, max_dis]`` interval, boundaries included.  Lemma 5.1
+        prunes only on a strict miss; Lemma 5.2 may also prune a child that
+        merely touches the k-th bound, and keeping it instead is safe (it
+        costs verification work, never an answer).
 
     Returns
     -------
@@ -644,9 +604,10 @@ def prune_children(
     ub = tree.max_dis[child_ids]
     d = pivot_dist[:, None]
     keep = sizes > 0
-    keep &= d + upper_allowance[:, None] >= lb
+    slack = allowance[:, None]
+    keep &= d + slack >= lb
     if mode.two_sided:
-        keep &= d - lower_allowance[:, None] <= ub
+        keep &= d - slack <= ub
     device.launch_kernel(work_items=child_ids.size, op_cost=2.0, label="prune-children")
     pair_index, child_col = np.nonzero(keep)
     return pair_index.astype(np.int64), child_ids[pair_index, child_col].astype(np.int64)

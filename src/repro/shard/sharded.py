@@ -212,6 +212,8 @@ class ShardedGTS:
             raise IndexError_(
                 f"cannot spread {len(objects)} objects over {self.num_shards} shards"
             )
+        # reject malformed objects before the partition charge
+        self.metric.validate_objects(objects)
         self._owner = {}
         self._shard_to_global = [[] for _ in range(self.num_shards)]
         self._deleted = set()
@@ -386,6 +388,7 @@ class ShardedGTS:
         rebuilds that shard alone.
         """
         self._require_built()
+        self.metric.validate_objects([obj])
         gid = self._next_id
         sid = self.policy.assign(gid, obj, self._loads)
         # validate before charging: a rejected insert (object larger than the
@@ -428,6 +431,7 @@ class ShardedGTS:
         touched.
         """
         self._require_built()
+        self.metric.validate_objects([new_obj])
         self.shards[0]._cache.ensure_fits(new_obj)
         self.delete(obj_id)
         return self.insert(new_obj)
@@ -446,6 +450,8 @@ class ShardedGTS:
         """
         self._require_built()
         inserts = list(inserts)
+        # before the routing charge and any load or owner bookkeeping
+        self.metric.validate_objects(inserts)
         delete_set = {int(d) for d in deletes}
         if not inserts and not delete_set:
             return ShardedBuildReport(per_shard=[], sim_time=0.0)
